@@ -3,123 +3,34 @@
 NSL-KDD records are encoded numerically, feature subsets are 41-gene binary
 masks, and each mask is scored by training a decision-tree classifier on the
 masked training set and measuring ``1 - f_measure`` on the masked test set.
+
+The top level exports the library workflow (load, encode, relabel, search)
+and the experiment entry points; everything else lives in the submodules.
 """
 
-from .ga import (
-    EvaluatedIndividual,
-    GAConfig,
-    GAResult,
-    Population,
-    compute_fitness,
-    crossover,
-    evolve,
-    init_population,
-    mutate,
-    run,
-    select_parent,
-)
 from .experiment import (
     ExperimentConfig,
     ExperimentResult,
     emit_reports,
-    resolve_target,
     run_experiment,
     verify_appendix,
 )
-from .metrics import (
-    ConfusionMatrix,
-    MetricsReport,
-    compare,
-    confusion,
-    metrics,
-    ranking_key,
-)
-from .nslkdd import (
-    DOS_ATTACKS,
-    FEATURE_NAMES,
-    N_FEATURES,
-    REPORT_ALIASES,
-    BinaryLabeledDataset,
-    Codebook,
-    Dataset,
-    DegenerateMaskError,
-    FeatureMask,
-    ParseError,
-    RawDataset,
-    RawRecord,
-    build_codebook,
-    encode,
-    parse_file,
-    project,
-    relabel,
-    report_alias,
-)
-from .reference import REFERENCE_CASES, ReferenceCase
-from .tree import (
-    DecisionTree,
-    Split,
-    TreeConfig,
-    TreeNode,
-    best_split,
-    fit,
-    impurity,
-    predict,
-    predict_batch,
-)
+from .ga import GAConfig, run
+from .nslkdd import FeatureMask, build_codebook, encode, parse_file, relabel
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinaryLabeledDataset",
-    "Codebook",
-    "ConfusionMatrix",
-    "DOS_ATTACKS",
-    "Dataset",
-    "DecisionTree",
-    "DegenerateMaskError",
-    "EvaluatedIndividual",
     "ExperimentConfig",
     "ExperimentResult",
-    "FEATURE_NAMES",
     "FeatureMask",
     "GAConfig",
-    "GAResult",
-    "MetricsReport",
-    "N_FEATURES",
-    "ParseError",
-    "Population",
-    "RawDataset",
-    "RawRecord",
-    "REFERENCE_CASES",
-    "REPORT_ALIASES",
-    "ReferenceCase",
-    "Split",
-    "TreeConfig",
-    "TreeNode",
-    "best_split",
     "build_codebook",
-    "compare",
-    "compute_fitness",
-    "confusion",
-    "crossover",
     "emit_reports",
     "encode",
-    "evolve",
-    "fit",
-    "impurity",
-    "init_population",
-    "metrics",
-    "mutate",
     "parse_file",
-    "predict",
-    "predict_batch",
-    "project",
-    "ranking_key",
     "relabel",
-    "report_alias",
-    "resolve_target",
     "run",
     "run_experiment",
-    "select_parent",
     "verify_appendix",
 ]

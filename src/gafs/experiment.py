@@ -1,10 +1,10 @@
 """End-to-end experiment orchestration and report emission.
 
-An experiment is: parse both NSL-KDD files, build the codebook from the
-training set, encode both sets, relabel for the target attack(s), then
-either run the genetic search (ga mode) or evaluate one fixed feature set
-(fixed mode). Every emitted machine-readable file is byte-stable for
-identical inputs and seeds.
+An experiment is: load both NSL-KDD files (parse them, build the codebook
+from the training set, encode both sets with it), relabel for the target
+attack(s), then either run the genetic search (ga mode) or evaluate one
+fixed feature set (fixed mode). Every emitted machine-readable file is
+byte-stable for identical inputs and seeds.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .nslkdd import (
     DOS_ATTACKS,
     FEATURE_NAMES,
     Codebook,
+    Dataset,
     FeatureMask,
     build_codebook,
     encode,
@@ -166,6 +167,14 @@ def _validate_features(names) -> tuple[str, ...]:
     return cleaned
 
 
+def _load(train_path: str | Path, test_path: str | Path) -> tuple[Dataset, Dataset, Codebook]:
+    """Encoded training and test sets, and the codebook built from training."""
+    train_raw = parse_file(train_path, role="training")
+    test_raw = parse_file(test_path, role="test")
+    codebook = build_codebook(train_raw)
+    return encode(train_raw, codebook), encode(test_raw, codebook), codebook
+
+
 def run_experiment(
     cfg: ExperimentConfig,
     *,
@@ -175,11 +184,7 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run one full experiment; all randomness comes from cfg.ga.seed."""
     started = time.perf_counter()
-    train_raw = parse_file(cfg.train_path, role="training")
-    test_raw = parse_file(cfg.test_path, role="test")
-    codebook = build_codebook(train_raw)
-    train = encode(train_raw, codebook)
-    test = encode(test_raw, codebook)
+    train, test, codebook = _load(cfg.train_path, cfg.test_path)
     attacks = resolve_target(cfg.target, set(train.labels) | set(test.labels))
     train_binary = relabel(train, attacks)
     test_binary = relabel(test, attacks)
@@ -282,11 +287,7 @@ def verify_appendix(
     cases: tuple[ReferenceCase, ...] = REFERENCE_CASES,
 ) -> list[VerificationRow]:
     """Re-evaluate every bundled reference feature set on local data."""
-    train_raw = parse_file(train_path, role="training")
-    test_raw = parse_file(test_path, role="test")
-    codebook = build_codebook(train_raw)
-    train = encode(train_raw, codebook)
-    test = encode(test_raw, codebook)
+    train, test, _ = _load(train_path, test_path)
 
     rows: list[VerificationRow] = []
     for case in cases:

@@ -114,12 +114,6 @@ def ranking_key(individual):
     return (individual.fitness, individual.selected_count, individual.mask.genes)
 
 
-def compare(a, b) -> int:
-    """-1 if a ranks before b, 1 if after, 0 if identical under ranking_key."""
-    ka, kb = ranking_key(a), ranking_key(b)
-    return (ka > kb) - (ka < kb)
-
-
 def pct(value: float) -> str:
     """Display form of a [0, 1] rate: two-decimal percentage."""
     return f"{100.0 * value:.2f}%"

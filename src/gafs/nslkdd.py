@@ -2,8 +2,11 @@
 
 Input files are comma-separated text with no header: 41 feature columns
 followed by the attack label, and in the commonly distributed variants a
-trailing difficulty score (42 or 43 columns total). The difficulty score is
-accepted and dropped.
+trailing difficulty score (42 or 43 columns total), which is checked and
+dropped. Loading is columnar: ``parse_file`` checks every field and returns
+the numeric columns as one float matrix and the symbolic ones as strings,
+``build_codebook`` numbers the training set's symbolic values, and ``encode``
+maps the symbolic columns through the codebook beside the numeric ones.
 """
 
 from __future__ import annotations
@@ -35,6 +38,14 @@ N_FEATURES = len(FEATURE_NAMES)
 
 # Columns carrying symbolic values that need integer encoding.
 SYMBOLIC_COLUMNS: tuple[str, ...] = ("protocol_type", "service", "flag")
+
+# The other 38 feature columns, parsed as numbers, in file order.
+NUMERIC_COLUMNS = tuple(name for name in FEATURE_NAMES if name not in SYMBOLIC_COLUMNS)
+_NUMERIC_INDEX = [FEATURE_NAMES.index(name) for name in NUMERIC_COLUMNS]
+
+# Lines split into fields at a time by parse_file; splitting a whole file at
+# once holds all its field strings together (~150 MB more peak for KDDTrain+).
+_BLOCK_LINES = 2048
 
 # Alternate names used in the bundled reference reports for a subset of the
 # features; every feature not listed here keeps its canonical name.
@@ -127,25 +138,17 @@ class FeatureMask:
         return "".join("1" if g else "0" for g in self.genes)
 
 
-@dataclass(frozen=True)
-class RawRecord:
-    """One parsed but not yet encoded connection row."""
-
-    values: tuple[str, ...]
-    label: str
-    difficulty: int | None = None
-
-
 @dataclass
 class RawDataset:
-    """File-order rows with symbolic columns still as strings."""
+    """Parsed columns in file order, with the symbolic columns still as strings."""
 
-    records: list[RawRecord]
+    numeric: np.ndarray  # (n, 38) float64, the NUMERIC_COLUMNS in file order
+    symbolic: dict[str, list[str]]  # SYMBOLIC_COLUMNS -> stripped, interned values
+    labels: tuple[str, ...]
     role: str = ""
-    feature_names: tuple[str, ...] = FEATURE_NAMES
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.labels)
 
 
 @dataclass
@@ -154,30 +157,10 @@ class Dataset:
 
     features: np.ndarray  # (n, 41) float64
     labels: tuple[str, ...]
-    role: str = ""
     feature_names: tuple[str, ...] = FEATURE_NAMES
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def to_dict(self) -> dict:
-        return {
-            "role": self.role,
-            "feature_names": list(self.feature_names),
-            "labels": list(self.labels),
-            "features": self.features.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Dataset":
-        features = np.asarray(doc["features"], dtype=np.float64)
-        features = features.reshape(len(doc["labels"]), len(doc["feature_names"]))
-        return cls(
-            features=features,
-            labels=tuple(doc["labels"]),
-            role=doc.get("role", ""),
-            feature_names=tuple(doc["feature_names"]),
-        )
 
 
 @dataclass
@@ -191,10 +174,6 @@ class BinaryLabeledDataset:
 
     def __len__(self) -> int:
         return len(self.targets)
-
-    @property
-    def n_features(self) -> int:
-        return self.features.shape[1]
 
 
 @dataclass
@@ -252,107 +231,119 @@ class Codebook:
 
 
 def parse_file(path: str | Path, role: str = "") -> RawDataset:
-    """Read an NSL-KDD file into one RawRecord per line, in file order.
+    """Read an NSL-KDD file into column arrays, in file order.
 
-    Accepts 42-column (features + label) and 43-column (+ difficulty) lines;
-    the difficulty score is kept on the record but ignored downstream.
+    Accepts 42-column (features + label) and 43-column (+ difficulty) lines,
+    also mixed in one file; the difficulty must be an integer and is dropped.
+    A UTF-8 BOM and trailing blank lines are ignored, and whitespace around
+    labels and symbolic fields is stripped. Any other defect, including a
+    blank line before the last row and a numeric field that does not parse
+    to a finite number, raises ParseError naming the file and line.
     """
     path = Path(path)
-    records: list[RawRecord] = []
-    intern = sys.intern  # field values repeat massively across rows
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            fields = line.split(",")
-            if len(fields) not in (N_FEATURES + 1, N_FEATURES + 2):
-                raise ParseError(
-                    f"{path.name}: line {lineno}: expected {N_FEATURES + 1} or "
-                    f"{N_FEATURES + 2} comma-separated columns, found {len(fields)}"
-                )
-            values = tuple(intern(f) for f in fields[:N_FEATURES])
-            for col, value in enumerate(values):
-                if value == "":
-                    raise ParseError(
-                        f"{path.name}: line {lineno}: empty field in column "
-                        f"{col + 1} ({FEATURE_NAMES[col]})"
-                    )
-            label = fields[N_FEATURES].strip()
-            if not label:
-                raise ParseError(f"{path.name}: line {lineno}: empty label")
-            difficulty = None
-            if len(fields) == N_FEATURES + 2:
+    # split on "\n" only, so line numbers match what an editor shows; a "\r"
+    # before it ends the last field, which is stripped
+    with open(path, encoding="utf-8-sig", newline="") as handle:
+        lines = handle.read().split("\n")
+    while lines and not lines[-1].strip():
+        lines.pop()
+    numeric = np.empty((len(lines), len(NUMERIC_COLUMNS)), dtype=np.float64)
+    symbolic: dict[str, list[str]] = {name: [] for name in SYMBOLIC_COLUMNS}
+    labels: list[str] = []
+    for start in range(0, len(lines), _BLOCK_LINES):
+        block = lines[start:start + _BLOCK_LINES]
+        _parse_block(block, path.name, start, numeric[start:start + len(block)],
+                     symbolic, labels)
+    return RawDataset(numeric=numeric, symbolic=symbolic, labels=tuple(labels), role=role)
+
+
+def _parse_block(lines: list[str], file_name: str, first: int, numeric: np.ndarray,
+                 symbolic: dict[str, list[str]], labels: list[str]) -> None:
+    """Check the block of lines that starts after line ``first`` of the file;
+    fill ``numeric`` with its numeric columns and extend ``symbolic``/``labels``."""
+
+    def error(row: int, message: str) -> ParseError:
+        return ParseError(f"{file_name}: line {first + row + 1}: {message}")
+
+    widths_ok = (N_FEATURES + 1, N_FEATURES + 2)
+    rows = [line.split(",") for line in lines]
+    widths = set(map(len, rows))
+    if not widths.issubset(widths_ok):
+        bad = next(i for i, row in enumerate(rows) if len(row) not in widths_ok)
+        if not lines[bad].strip():
+            raise error(bad, "blank line")
+        raise error(bad, f"expected {N_FEATURES + 1} or {N_FEATURES + 2} "
+                         f"comma-separated columns, found {len(rows[bad])}")
+    columns = list(zip(*rows))  # as wide as the narrowest row: features + label
+
+    for ci, name in enumerate(FEATURE_NAMES):
+        column = columns[ci]
+        if name in SYMBOLIC_COLUMNS:
+            column = _stripped(column)
+        if "" in column:
+            raise error(column.index(""), f"column {name!r}: empty field")
+        if name in SYMBOLIC_COLUMNS:
+            symbolic[name] += column
+            continue
+        out = numeric[:, NUMERIC_COLUMNS.index(name)]
+        try:
+            out[:] = np.asarray(column, dtype=np.float64)
+        except ValueError:  # numpy parses str with float(); find the value it refused
+            for row, value in enumerate(column):
                 try:
-                    difficulty = int(fields[N_FEATURES + 1].strip())
+                    float(value)
                 except ValueError:
-                    raise ParseError(
-                        f"{path.name}: line {lineno}: difficulty column "
-                        f"{fields[N_FEATURES + 1]!r} is not an integer"
-                    ) from None
-            records.append(RawRecord(values=values, label=intern(label),
-                                     difficulty=difficulty))
-    return RawDataset(records=records, role=role)
+                    raise error(row, f"column {name!r}: cannot parse {value!r} "
+                                     "as a number") from None
+            raise
+        if not np.isfinite(out).all():
+            bad = int(np.flatnonzero(~np.isfinite(out))[0])
+            raise error(bad, f"column {name!r}: value {column[bad]!r} is not finite")
+
+    block_labels = _stripped(columns[N_FEATURES])
+    if "" in block_labels:
+        raise error(block_labels.index(""), "empty label")
+    labels += block_labels
+
+    for value in {row[-1] for row in rows if len(row) == N_FEATURES + 2}:
+        try:
+            int(value.strip())
+        except ValueError:
+            bad = next(i for i, row in enumerate(rows)
+                       if len(row) == N_FEATURES + 2 and row[-1] == value)
+            raise error(bad, f"difficulty column {value!r} is not an integer") from None
+
+
+def _stripped(values) -> list[str]:
+    """``values`` stripped and interned; each distinct string is stripped once."""
+    table = {value: sys.intern(value.strip()) for value in set(values)}
+    return list(map(table.__getitem__, values))
 
 
 def build_codebook(train: RawDataset) -> Codebook:
     """Assign integer codes to symbolic categories in first-appearance order."""
-    column_index = {name: train.feature_names.index(name) for name in SYMBOLIC_COLUMNS}
-    columns: dict[str, dict[str, int]] = {name: {} for name in SYMBOLIC_COLUMNS}
-    for record in train.records:
-        for name, ci in column_index.items():
-            mapping = columns[name]
-            value = record.values[ci]
-            if value not in mapping:
-                mapping[value] = len(mapping)
+    columns = {
+        name: {value: code for code, value in enumerate(dict.fromkeys(train.symbolic[name]))}
+        for name in SYMBOLIC_COLUMNS
+    }
     return Codebook(columns=columns, provenance=train.role or "training")
 
 
 def encode(data: RawDataset, book: Codebook) -> Dataset:
-    """Replace symbolic columns by codebook codes and parse the rest as numbers.
+    """Replace symbolic columns by codebook codes, beside the numeric columns.
 
     Categories absent from the codebook are appended to it with the next free
-    code; the codebook records the append so the run report can surface it.
+    code, in first-appearance order; the codebook records the append so the
+    run report can surface it.
     """
-    n = len(data.records)
-    features = np.empty((n, N_FEATURES), dtype=np.float64)
-    for ci, name in enumerate(data.feature_names):
-        column = [record.values[ci] for record in data.records]
-        if name in SYMBOLIC_COLUMNS:
-            # cache lookups: symbolic columns have few distinct values
-            seen: dict[str, int] = {}
-            out = features[:, ci]
-            for ri, value in enumerate(column):
-                code = seen.get(value)
-                if code is None:
-                    code = book.code_for(name, value)
-                    seen[value] = code
-                out[ri] = code
-            continue
-        try:
-            values = np.asarray(column, dtype=np.float64)
-        except ValueError:
-            values = _parse_column_slow(column, name)
-        if not np.isfinite(values).all():
-            bad = int(np.flatnonzero(~np.isfinite(values))[0])
-            raise ParseError(
-                f"row {bad + 1}, column {name!r}: value {column[bad]!r} is not finite"
-            )
-        features[:, ci] = values
-    labels = tuple(record.label for record in data.records)
-    return Dataset(features=features, labels=labels, role=data.role,
-                   feature_names=data.feature_names)
-
-
-def _parse_column_slow(column: list[str], name: str) -> np.ndarray:
-    # only reached on error, to attribute the failure to a row
-    values = np.empty(len(column), dtype=np.float64)
-    for ri, value in enumerate(column):
-        try:
-            values[ri] = float(value)
-        except ValueError:
-            raise ParseError(
-                f"row {ri + 1}, column {name!r}: cannot parse {value!r} as a number"
-            ) from None
-    return values
+    features = np.empty((len(data), N_FEATURES), dtype=np.float64)
+    features[:, _NUMERIC_INDEX] = data.numeric
+    for name in SYMBOLIC_COLUMNS:
+        column = data.symbolic[name]
+        codes = {value: book.code_for(name, value) for value in dict.fromkeys(column)}
+        features[:, FEATURE_NAMES.index(name)] = np.fromiter(
+            map(codes.__getitem__, column), dtype=np.float64, count=len(column))
+    return Dataset(features=features, labels=data.labels)
 
 
 def relabel(data: Dataset, target_attacks) -> BinaryLabeledDataset:

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from gafs.ga import EvaluatedIndividual
 from gafs.metrics import (
     ConfusionMatrix,
-    compare,
     confusion,
     metrics,
     pct,
@@ -122,7 +121,7 @@ def test_rates_complement_their_sources(cm):
     assert report.fn_rate == 1.0 - report.recall
 
 
-# ------------------------------------------------------------------- compare
+# ------------------------------------------------------------------- ranking
 
 
 def individual(fitness, n_selected, first_gene_on=False):
@@ -133,17 +132,21 @@ def individual(fitness, n_selected, first_gene_on=False):
                                selected_count=mask.selected_count)
 
 
+def ranked(*individuals):
+    return sorted(individuals, key=ranking_key)
+
+
 def test_compare_fitness_dominates_feature_count():
     a = individual(0.1, 5)
     b = individual(0.2, 1)
-    assert compare(a, b) == -1
-    assert compare(b, a) == 1
+    assert ranked(a, b) == [a, b]
+    assert ranked(b, a) == [a, b]
 
 
 def test_compare_ties_break_on_feature_count():
     a = individual(0.1, 3)
     b = individual(0.1, 7)
-    assert compare(a, b) == -1
+    assert ranked(b, a) == [a, b]
 
 
 def test_compare_final_tie_breaks_on_gene_string():
@@ -151,8 +154,8 @@ def test_compare_final_tie_breaks_on_gene_string():
     mask_b = FeatureMask.from_bits("1" + "0" * 40)
     a = EvaluatedIndividual(mask=mask_a, fitness=0.5, selected_count=1)
     b = EvaluatedIndividual(mask=mask_b, fitness=0.5, selected_count=1)
-    assert compare(a, b) == -1  # "01..." sorts before "10..."
-    assert compare(a, a) == 0
+    assert ranked(b, a) == [a, b]  # "01..." sorts before "10..."
+    assert ranking_key(a) == ranking_key(a)
 
 
 individuals = st.builds(
@@ -169,11 +172,14 @@ individuals = st.builds(
 @settings(max_examples=200)
 @given(a=individuals, b=individuals, c=individuals)
 def test_compare_is_a_total_order(a, b, c):
-    assert compare(a, b) in (-1, 0, 1)
-    assert compare(a, b) == -compare(b, a)
-    if compare(a, b) <= 0 and compare(b, c) <= 0:
-        assert compare(a, c) <= 0
-    assert (compare(a, b) == 0) == (ranking_key(a) == ranking_key(b))
+    keys = [ranking_key(x) for x in ranked(a, b, c)]
+    assert keys == sorted(keys)
+    # every input order ranks to the same keys: no two individuals are incomparable
+    assert [ranking_key(x) for x in ranked(c, b, a)] == keys
+    assert [ranking_key(x) for x in ranked(b, c, a)] == keys
+    # equal keys only for identical genes and fitness
+    assert (ranking_key(a) == ranking_key(b)) == (
+        a.fitness == b.fitness and a.mask.genes == b.mask.genes)
 
 
 # ---------------------------------------------------------------- formatting

@@ -1,13 +1,18 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from gafs import nslkdd
 from gafs.nslkdd import (
     DOS_ATTACKS,
     FEATURE_NAMES,
+    NUMERIC_COLUMNS,
+    SYMBOLIC_COLUMNS,
     Codebook,
-    Dataset,
     DegenerateMaskError,
     FeatureMask,
     ParseError,
@@ -17,6 +22,8 @@ from gafs.nslkdd import (
     project,
     relabel,
 )
+
+import oracles
 
 
 def make_line(protocol="tcp", service="http", flag="SF", label="normal",
@@ -37,16 +44,95 @@ def test_parse_counts_and_difficulty(tmp_path):
     path.write_text(make_line(difficulty=21) + "\n" + make_line(label="smurf", difficulty=3) + "\n")
     ds = parse_file(path)
     assert len(ds) == 2
-    assert ds.records[0].difficulty == 21
-    assert ds.records[1].label == "smurf"
-    assert ds.records[0].values[1] == "tcp"
+    assert ds.labels == ("normal", "smurf")
+    assert ds.symbolic["protocol_type"] == ["tcp", "tcp"]
+    # the difficulty is validated, then dropped: 38 numeric columns remain
+    assert ds.numeric.shape == (2, len(NUMERIC_COLUMNS)) == (2, 38)
+    assert not ds.numeric.any()
 
 
 def test_parse_42_column_variant(tmp_path):
     path = tmp_path / "mini.txt"
     path.write_text(make_line() + "\n")
     ds = parse_file(path)
-    assert ds.records[0].difficulty is None
+    assert ds.labels == ("normal",)
+    assert ds.numeric.shape == (1, 38)
+    assert {name: ds.symbolic[name] for name in SYMBOLIC_COLUMNS} == {
+        "protocol_type": ["tcp"], "service": ["http"], "flag": ["SF"]}
+
+
+def test_parse_mixed_42_and_43_columns(tmp_path):
+    path = tmp_path / "mixed.txt"
+    path.write_text(make_line(difficulty=5) + "\n" + make_line(label="pod") + "\n"
+                    + make_line(label="land", difficulty=7) + "\n")
+    assert parse_file(path).labels == ("normal", "pod", "land")
+
+
+def test_parse_accepts_utf8_bom(tmp_path):
+    plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+    plain.write_text(make_line(protocol="udp") + "\n")
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert parse_file(bom).symbolic == parse_file(plain).symbolic
+    assert parse_file(bom).symbolic["protocol_type"] == ["udp"]
+
+
+def test_parse_accepts_trailing_blank_lines(tmp_path):
+    path = tmp_path / "trailing.txt"
+    path.write_text(make_line() + "\n" + make_line(label="pod") + "\n\n   \n\t\r\n\n")
+    assert parse_file(path).labels == ("normal", "pod")
+
+
+def test_parse_interior_blank_line_names_file_and_line(tmp_path):
+    path = tmp_path / "gap.txt"
+    path.write_text(make_line() + "\n  \n" + make_line() + "\n")
+    with pytest.raises(ParseError, match=r"^gap\.txt: line 2: blank line"):
+        parse_file(path)
+
+
+def test_parse_strips_whitespace_around_symbolic_fields(tmp_path):
+    path = tmp_path / "spaced.txt"
+    path.write_text(make_line(protocol=" tcp", service="http ", flag=" SF ") + "\n"
+                    + make_line() + "\n")
+    raw = parse_file(path)
+    book = build_codebook(raw)
+    assert book.columns == {"protocol_type": {"tcp": 0}, "service": {"http": 0}, "flag": {"SF": 0}}
+    features = encode(raw, book).features
+    assert np.array_equal(features[0], features[1])
+
+
+def test_parse_whitespace_only_symbolic_field_is_empty(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text(make_line() + "\n" + make_line(service="  ") + "\n")
+    with pytest.raises(ParseError, match=r"^bad\.txt: line 2: column 'service': empty field"):
+        parse_file(path)
+
+
+def test_parse_splits_lines_on_newline_only(tmp_path):
+    # str.splitlines would also break at these characters and shift the count
+    path = tmp_path / "odd.txt"
+    path.write_text(make_line(label="nor\x0bm\x1cal\x85\u2028") + "\n" + "1,2,3\n",
+                    encoding="utf-8")
+    with pytest.raises(ParseError, match=r"^odd\.txt: line 2: "):
+        parse_file(path)
+
+
+def test_parse_crlf_matches_lf(tmp_path):
+    lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+    lines = [make_line(difficulty=1), make_line(protocol="udp", label="pod")]
+    lf.write_bytes(("\n".join(lines) + "\n").encode())
+    crlf.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    a, b = parse_file(lf), parse_file(crlf)
+    assert a.labels == b.labels
+    assert a.symbolic == b.symbolic
+    assert a.numeric.tobytes() == b.numeric.tobytes()
+
+
+def test_parse_error_line_numbers_span_blocks(tmp_path):
+    path = tmp_path / "long.txt"
+    path.write_text("\n".join([make_line()] * 10 + ["1,2"] + [make_line()]) + "\n")
+    with mock.patch.object(nslkdd, "_BLOCK_LINES", 3):
+        with pytest.raises(ParseError, match=r"^long\.txt: line 11: "):
+            parse_file(path)
 
 
 def test_parse_empty_file(tmp_path):
@@ -166,14 +252,24 @@ def test_encode_unseen_category_appends_and_warns(synth_files):
     assert any("telnet" in w for w in book.warnings())
 
 
-def test_encode_bad_numeric_names_row_and_column(tmp_path):
+def test_parse_bad_numeric_names_file_line_and_column(tmp_path):
     fields = make_line().split(",")
     fields[0] = "abc"
     path = tmp_path / "bad.txt"
     path.write_text(make_line() + "\n" + ",".join(fields) + "\n")
-    raw = parse_file(path)
-    with pytest.raises(ParseError, match=r"row 2.*duration"):
-        encode(raw, build_codebook(raw))
+    with pytest.raises(ParseError, match=r"^bad\.txt: line 2: column 'duration': .*'abc'"):
+        parse_file(path)
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999"])
+def test_parse_non_finite_names_file_line_and_column(tmp_path, value):
+    fields = make_line().split(",")
+    fields[4] = value
+    path = tmp_path / "bad.txt"
+    path.write_text(make_line() + "\n" + make_line() + "\n" + ",".join(fields) + "\n")
+    with pytest.raises(ParseError,
+                       match=r"^bad\.txt: line 3: column 'src_bytes': .* not finite"):
+        parse_file(path)
 
 
 def test_encode_is_deterministic(synth_files):
@@ -185,14 +281,93 @@ def test_encode_is_deterministic(synth_files):
     assert a.labels == b.labels
 
 
-def test_dataset_round_trip_lossless(synth_encoded):
-    train, _, _ = synth_encoded
-    doc = json.loads(json.dumps(train.to_dict()))
-    back = Dataset.from_dict(doc)
-    assert np.array_equal(back.features, train.features)
-    assert back.labels == train.labels
-    assert back.feature_names == train.feature_names
-    assert back.role == train.role
+# ---------------------------------------------------- row-wise reference load
+
+
+def rowwise_load(train_path, test_path):
+    """(train features, train labels, test features, test labels, codebook doc)."""
+    train = oracles.rowwise_parse(train_path, len(FEATURE_NAMES), role="training")
+    test = oracles.rowwise_parse(test_path, len(FEATURE_NAMES), role="test")
+    book = oracles.rowwise_codebook(train, FEATURE_NAMES, SYMBOLIC_COLUMNS)
+    train_features, train_labels = oracles.rowwise_encode(
+        train, book, FEATURE_NAMES, SYMBOLIC_COLUMNS)
+    test_features, test_labels = oracles.rowwise_encode(
+        test, book, FEATURE_NAMES, SYMBOLIC_COLUMNS)
+    return train_features, train_labels, test_features, test_labels, book
+
+
+def columnar_load(train_path, test_path):
+    train_raw = parse_file(train_path, role="training")
+    test_raw = parse_file(test_path, role="test")
+    book = build_codebook(train_raw)
+    train, test = encode(train_raw, book), encode(test_raw, book)
+    return train.features, train.labels, test.features, test.labels, book.to_dict()
+
+
+def assert_same_load(expected, got):
+    exp_train, exp_train_labels, exp_test, exp_test_labels, exp_book = expected
+    train, train_labels, test, test_labels, book = got
+    assert train.dtype == test.dtype == np.float64
+    assert train.tobytes() == exp_train.tobytes()
+    assert test.tobytes() == exp_test.tobytes()
+    assert train_labels == exp_train_labels
+    assert test_labels == exp_test_labels
+    # dumped without sort_keys: category and extension order count
+    assert json.dumps(book) == json.dumps(exp_book)
+
+
+@pytest.mark.parametrize("block_lines", [None, 7])
+def test_columnar_load_matches_rowwise_reference(synth_files, block_lines):
+    train_path, test_path = synth_files
+    expected = rowwise_load(train_path, test_path)
+    assert expected[4]["extensions"], "the test file should carry an unseen service"
+    with mock.patch.object(nslkdd, "_BLOCK_LINES", block_lines or nslkdd._BLOCK_LINES):
+        assert_same_load(expected, columnar_load(train_path, test_path))
+
+
+_token = st.text(alphabet="abcdefgh_ABC-", min_size=1, max_size=4)
+_number = st.one_of(
+    st.integers(min_value=-10**12, max_value=10**12).map(str),
+    st.sampled_from(["0", "0.00", "0.1", "1e3", "-0.0", ".5", "7.", "2.5E-7",
+                     "1.7976931348623157e308", "5e-324", "123456789.123456789"]),
+)
+
+
+def _nslkdd_lines(symbols):
+    """Lists of NSL-KDD lines, each 42 or 43 columns, with no stray whitespace."""
+    def line(parts):
+        numbers, symbolic, label, difficulty = parts
+        fields = numbers[:1] + symbolic + numbers[1:] + [label]
+        return ",".join(fields + ([] if difficulty is None else [str(difficulty)]))
+
+    parts = st.tuples(
+        st.lists(_number, min_size=len(NUMERIC_COLUMNS), max_size=len(NUMERIC_COLUMNS)),
+        st.lists(symbols, min_size=len(SYMBOLIC_COLUMNS), max_size=len(SYMBOLIC_COLUMNS)),
+        _token,
+        st.none() | st.integers(min_value=0, max_value=21),
+    )
+    return st.lists(parts.map(line), min_size=1, max_size=8)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    train=_nslkdd_lines(st.sampled_from(["tcp", "udp", "icmp"])),
+    test=_nslkdd_lines(st.sampled_from(["tcp", "udp", "icmp", "igmp", "gre"])),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    final_newline=st.booleans(),
+    block_lines=st.integers(min_value=1, max_value=5),
+)
+def test_columnar_load_matches_rowwise_reference_property(
+        tmp_path, train, test, newline, final_newline, block_lines):
+    paths = []
+    for name, lines in (("train.txt", train), ("test.txt", test)):
+        path = tmp_path / name
+        path.write_bytes((newline.join(lines) + (newline if final_newline else "")).encode())
+        paths.append(path)
+    expected = rowwise_load(*paths)
+    with mock.patch.object(nslkdd, "_BLOCK_LINES", block_lines):
+        assert_same_load(expected, columnar_load(*paths))
 
 
 # ------------------------------------------------------------------- relabel
