@@ -139,7 +139,6 @@ def main(argv=None) -> int:
                 tuple(args.features.split(",")) if args.features else None
             ),
             ga=ga_cfg,
-            output_dir=args.out,
         )
 
         log_lines = ["generation,best_fitness,selected_count,elapsed_seconds"]

@@ -43,7 +43,6 @@ class ExperimentConfig:
     criterion: str = "entropy"
     fixed_features: tuple[str, ...] | None = None
     ga: GAConfig | None = None
-    output_dir: str | Path | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in ("ga", "fixed"):

@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import json
 import sys
+import threading
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -171,6 +174,9 @@ class BinaryLabeledDataset:
     targets: np.ndarray  # (n,) bool
     feature_names: tuple[str, ...]
     target_spec: frozenset[str]
+    # from ``project``: ``sorted_columns(features)`` out of one sort of the
+    # unprojected matrix; when None, ``fit`` sorts the columns itself
+    column_order: Callable[[], tuple[np.ndarray, np.ndarray]] | None = None
 
     def __len__(self) -> int:
         return len(self.targets)
@@ -213,21 +219,8 @@ class Codebook:
             "extensions": [list(e) for e in self.extensions],
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Codebook":
-        return cls(
-            columns={col: {k: int(v) for k, v in mapping.items()}
-                     for col, mapping in doc["columns"].items()},
-            provenance=doc.get("built_from", ""),
-            extensions=[(c, s, int(n)) for c, s, n in doc.get("extensions", [])],
-        )
-
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Codebook":
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 def parse_file(path: str | Path, role: str = "") -> RawDataset:
@@ -381,4 +374,28 @@ def project(data: BinaryLabeledDataset, mask: FeatureMask) -> BinaryLabeledDatas
         targets=data.targets,
         feature_names=tuple(data.feature_names[i] for i in keep),
         target_spec=data.target_spec,
+        column_order=lambda: _sorted_projection(data.features, keep),
     )
+
+
+def sorted_columns(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k, n) int32 rows of each column of ``matrix`` in value order, and those values."""
+    columns = np.ascontiguousarray(matrix.T)
+    rows = np.argsort(columns, axis=1).astype(np.int32)
+    return rows, np.take_along_axis(columns, rows, axis=1)
+
+
+# ``sorted_columns`` of the matrices trees were fitted on, keyed on the matrix
+# object: all relabels and projections of one encoded set share one sort.
+_SORTED: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_SORTING = threading.Lock()
+
+
+def _sorted_projection(matrix: np.ndarray, columns: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """``sorted_columns`` of some columns, from the cached sort of all of ``matrix``."""
+    with _SORTING:  # else each of the GA's worker threads would sort it once
+        if id(matrix) not in _SORTED:
+            _SORTED[id(matrix)] = sorted_columns(matrix)
+            weakref.finalize(matrix, _SORTED.pop, id(matrix), None)
+        rows, values = _SORTED[id(matrix)]
+    return rows[columns], values[columns]

@@ -1,17 +1,20 @@
 """Independent brute-force oracles used by the property and acceptance tests.
 
-These recompute expected answers with plain scalar arithmetic and exhaustive
-enumeration, on purpose sharing no code with the implementation paths they
-check.
+These recompute expected answers with plain scalar arithmetic, exhaustive
+enumeration or the code a faster path replaced, on purpose sharing no code
+with the implementation paths they check.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+from gafs.tree import TreeConfig
 
 
 def node_impurity(labels, criterion: str) -> float:
@@ -109,3 +112,205 @@ def rowwise_encode(data, book: dict, feature_names, symbolic_columns):
             raise ValueError(f"column {name!r} is not finite")
         features[:, ci] = values
     return features, tuple(label for _, label in records)
+
+
+# ------------------------------------------------------------ per-node tree fit
+#
+# The per-node CART that the level-synchronous ``gafs.tree.fit`` replaced, kept
+# as its differential reference: every node re-sorts its own submatrix and
+# ``pernode_best_split`` scans it. ``bfs_arrays`` lays the resulting object
+# tree out in the flat breadth-first form of ``gafs.tree.DecisionTree``.
+
+
+@dataclass
+class TreeNode:
+    """Internal node (feature_index >= 0) or leaf (children are None)."""
+
+    class_counts: tuple[int, int]
+    predicted: bool
+    feature_index: int = -1
+    threshold: float = 0.0
+    impurity_decrease: float = 0.0
+    left: "TreeNode | None" = None
+    right: "TreeNode | None" = None
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.left is None
+
+
+@dataclass(frozen=True)
+class Split:
+    feature_index: int
+    threshold: float
+    impurity_decrease: float
+
+
+@dataclass
+class PerNodeTree:
+    root: TreeNode
+    config: TreeConfig
+    feature_count: int
+    depth: int = 0
+    node_count: int = 0
+    feature_names: tuple[str, ...] = field(default=())
+
+
+def _plog2p(p: np.ndarray) -> np.ndarray:
+    # p * log2(p) with the 0 * log2(0) = 0 convention; exact 0.0 at p in {0, 1}
+    return p * np.log2(np.where(p > 0.0, p, 1.0))
+
+
+def _impurity_arrays(pos: np.ndarray, n: np.ndarray, criterion: str) -> np.ndarray:
+    p = pos / n
+    q = (n - pos) / n
+    if criterion == "entropy":
+        return -(_plog2p(p) + _plog2p(q))
+    return 1.0 - (p * p + q * q)
+
+
+def pernode_best_split(features, targets, criterion: str) -> Split | None:
+    """Best (feature, threshold) by weighted impurity decrease, or None.
+
+    Returns None when the node is already pure or when no feature has two
+    distinct values. A zero-decrease split on an impure node is still
+    returned: separable structure may only appear deeper down.
+
+    All features are scanned in one vectorized pass; candidates and gains
+    live in (n-1, k) arrays and the winner is taken feature-major, which
+    realizes the tie-break order (lowest feature index, then lowest
+    threshold) without any per-feature loop.
+    """
+    X = np.asarray(features, dtype=np.float64)
+    y = np.asarray(targets, dtype=bool)
+    n = y.size
+    total_pos = int(np.count_nonzero(y))
+    if total_pos in (0, n):
+        return None
+    order = np.argsort(X, axis=0)  # per-column sort
+    values = np.take_along_axis(X, order, axis=0)
+    lo, hi = values[:-1], values[1:]
+    thresholds = 0.5 * (lo + hi)
+    # a candidate needs two distinct neighbours; the midpoint guards cover
+    # float collapse onto a neighbour for extreme adjacent values
+    valid = (hi > lo) & (thresholds >= lo) & (thresholds < hi)
+    # feature-major candidate order realizes the tie-break rule; impurities
+    # are only computed at the (few) valid positions
+    candidates = np.flatnonzero(np.ravel(valid, order="F"))
+    if candidates.size == 0:
+        return None
+    left_pos_all = np.cumsum(y[order], axis=0)[:-1]
+    left_pos = np.ravel(left_pos_all, order="F")[candidates].astype(np.float64)
+    left_n = (candidates % (n - 1)).astype(np.float64) + 1.0
+    right_n = n - left_n
+    right_pos = total_pos - left_pos
+    parent = float(_impurity_arrays(np.float64(total_pos), np.float64(n), criterion))
+    children = (
+        left_n * _impurity_arrays(left_pos, left_n, criterion)
+        + right_n * _impurity_arrays(right_pos, right_n, criterion)
+    ) / n
+    gains = parent - children
+    best = int(np.argmax(gains))  # first max: lowest feature, lowest threshold
+    flat = int(candidates[best])
+    split_at, feature = flat % (n - 1), flat // (n - 1)
+    return Split(
+        feature_index=int(feature),
+        threshold=float(thresholds[split_at, feature]),
+        impurity_decrease=float(gains[best]),
+    )
+
+
+def pernode_fit(train, config: TreeConfig | None = None) -> "PerNodeTree":
+    """Grow a tree on the (already projected) training set.
+
+    A node becomes a leaf when it is pure, when no candidate split exists,
+    when it holds fewer than ``min_split_samples`` samples, or at
+    ``max_depth``. Same inputs always give a structurally identical tree.
+    """
+    config = config or TreeConfig()
+    X = np.ascontiguousarray(train.features, dtype=np.float64)
+    y = np.asarray(train.targets, dtype=bool)
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise ValueError("training data must contain at least one record")
+    if X.shape[1] == 0:
+        raise ValueError("training data must contain at least one feature column")
+    if X.shape[0] != y.size:
+        raise ValueError("feature matrix and targets differ in length")
+
+    max_depth_seen = 0
+    node_count = 0
+
+    def make_node(yn: np.ndarray) -> TreeNode:
+        pos = int(np.count_nonzero(yn))
+        neg = yn.size - pos
+        return TreeNode(class_counts=(neg, pos), predicted=pos > neg)
+
+    root = make_node(y)
+    # explicit stack: tree depth on real traffic can exceed the interpreter's
+    # recursion limit
+    stack: list[tuple[TreeNode, np.ndarray, np.ndarray, int]] = [(root, X, y, 0)]
+    while stack:
+        node, Xn, yn, depth = stack.pop()
+        node_count += 1
+        max_depth_seen = max(max_depth_seen, depth)
+        pos = node.class_counts[1]
+        if pos in (0, yn.size):
+            continue
+        if config.max_depth is not None and depth >= config.max_depth:
+            continue
+        if yn.size < config.min_split_samples:
+            continue
+        split = pernode_best_split(Xn, yn, config.criterion)
+        if split is None:
+            continue
+        go_left = Xn[:, split.feature_index] <= split.threshold
+        node.feature_index = split.feature_index
+        node.threshold = split.threshold
+        node.impurity_decrease = split.impurity_decrease
+        left_X, left_y = Xn[go_left], yn[go_left]
+        right_X, right_y = Xn[~go_left], yn[~go_left]
+        node.left = make_node(left_y)
+        node.right = make_node(right_y)
+        stack.append((node.left, left_X, left_y, depth + 1))
+        stack.append((node.right, right_X, right_y, depth + 1))
+
+    return PerNodeTree(
+        root=root,
+        config=config,
+        feature_count=X.shape[1],
+        depth=max_depth_seen,
+        node_count=node_count,
+        feature_names=tuple(train.feature_names),
+    )
+
+
+def bfs_arrays(root: TreeNode) -> dict[str, np.ndarray]:
+    """The object tree as ``DecisionTree`` arrays, nodes in breadth-first order."""
+    nodes = [root]
+    for node in nodes:  # grows while walked: breadth-first
+        if not node.is_leaf:
+            nodes += [node.left, node.right]
+    index = {id(node): i for i, node in enumerate(nodes)}
+    return {
+        "feature": np.array([n.feature_index for n in nodes], dtype=np.intp),
+        "threshold": np.array([n.threshold for n in nodes], dtype=np.float64),
+        "impurity_decrease": np.array([n.impurity_decrease for n in nodes], dtype=np.float64),
+        "left": np.array([-1 if n.is_leaf else index[id(n.left)] for n in nodes], dtype=np.intp),
+        "right": np.array([-1 if n.is_leaf else index[id(n.right)] for n in nodes], dtype=np.intp),
+        "counts": np.array([n.class_counts for n in nodes], dtype=np.int64).reshape(-1, 2),
+        "predicted": np.array([n.predicted for n in nodes], dtype=bool),
+    }
+
+
+def predict(tree, features) -> bool:
+    """Classify a single feature vector by walking ``tree``'s arrays node by node."""
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 1 or x.size != tree.feature_count:
+        raise ValueError(
+            f"expected a feature vector of length {tree.feature_count}, got shape {x.shape}"
+        )
+    node = 0
+    while tree.feature[node] >= 0:
+        go_left = x[tree.feature[node]] <= tree.threshold[node]
+        node = tree.left[node] if go_left else tree.right[node]
+    return bool(tree.predicted[node])

@@ -12,7 +12,6 @@ from gafs.nslkdd import (
     FEATURE_NAMES,
     NUMERIC_COLUMNS,
     SYMBOLIC_COLUMNS,
-    Codebook,
     DegenerateMaskError,
     FeatureMask,
     ParseError,
@@ -206,16 +205,18 @@ def test_codebook_rebuild_is_identical(synth_files):
         assert list(a.columns[col].items()) == list(b.columns[col].items())
 
 
-def test_codebook_round_trip_preserves_order(tmp_path, synth_encoded):
+def test_codebook_save_keeps_category_and_extension_order(tmp_path, synth_encoded):
     _, _, book = synth_encoded
+    assert book.extensions, "the synthetic test file should extend the codebook"
     path = tmp_path / "codebook.json"
     book.save(path)
-    loaded = Codebook.load(path)
-    assert loaded.columns == book.columns
-    assert loaded.provenance == book.provenance
-    assert loaded.extensions == book.extensions
+    text = path.read_text()
+    assert text == json.dumps(book.to_dict(), indent=2) + "\n"
+    doc = json.loads(text)
+    assert doc["built_from"] == book.provenance
     for col in book.columns:
-        assert list(loaded.columns[col].items()) == list(book.columns[col].items())
+        assert list(doc["columns"][col].items()) == list(book.columns[col].items())
+    assert doc["extensions"] == [list(e) for e in book.extensions]
 
 
 # -------------------------------------------------------------------- encode

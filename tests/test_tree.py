@@ -1,22 +1,21 @@
-import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gafs.nslkdd import BinaryLabeledDataset, FeatureMask, project
-from gafs.tree import (
-    DecisionTree,
-    TreeConfig,
-    best_split,
-    fit,
-    impurity,
-    predict,
-    predict_batch,
-)
+from gafs import nslkdd, tree as tree_module
+from gafs.ga import compute_fitness
+from gafs.nslkdd import BinaryLabeledDataset, FeatureMask, project, relabel, sorted_columns
+from gafs.tree import TreeConfig, best_split, fit, impurity, predict_batch
 
-from oracles import brute_force_splits
+from oracles import bfs_arrays, brute_force_splits, pernode_fit, predict
+
+TREE_ARRAYS = ("feature", "threshold", "impurity_decrease", "left", "right",
+               "counts", "predicted")
 
 
 def binary(X, y):
@@ -154,8 +153,8 @@ def test_constant_labels_give_single_leaf():
     data = binary([[1, 2], [3, 4], [5, 6]], [False, False, False])
     tree = fit(data, TreeConfig("entropy"))
     assert tree.node_count == 1
-    assert tree.root.is_leaf
-    assert tree.root.predicted is False
+    assert tree.feature[0] == -1 and tree.left[0] == -1
+    assert bool(tree.predicted[0]) is False
 
 
 def test_xor_reaches_depth_two_and_fits_training_data():
@@ -192,38 +191,30 @@ def test_min_split_samples_stops_growth():
 def test_leaf_tie_predicts_negative():
     data = binary([[1], [1]], [True, False])
     tree = fit(data, TreeConfig("entropy"))
-    assert tree.root.is_leaf
-    assert tree.root.predicted is False
+    assert tree.feature[0] == -1 and tree.left[0] == -1
+    assert bool(tree.predicted[0]) is False
 
 
 def test_fit_is_deterministic(tiny_task):
     a = fit(tiny_task, TreeConfig("entropy"))
     b = fit(tiny_task, TreeConfig("entropy"))
-    assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
+    for name in TREE_ARRAYS:
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert (a.node_count, a.depth) == (b.node_count, b.depth)
 
 
 def test_internal_decreases_are_nonnegative(tiny_task):
     tree = fit(tiny_task, TreeConfig("gini"))
-
-    def walk(node):
-        if node.is_leaf:
-            return
-        assert node.impurity_decrease >= 0.0
-        walk(node.left)
-        walk(node.right)
-
-    walk(tree.root)
+    # every internal node, found by walking down from the root
+    internal, stack = [], [0]
+    while stack:
+        node = stack.pop()
+        if tree.feature[node] >= 0:
+            internal.append(node)
+            stack += [tree.left[node], tree.right[node]]
+    assert sorted(internal) == list(np.flatnonzero(tree.feature >= 0))
+    assert (tree.impurity_decrease[internal] >= 0.0).all()
     assert tree.node_count >= 3
-
-
-def test_tree_serialization_round_trip(tiny_task):
-    tree = fit(tiny_task, TreeConfig("entropy"))
-    back = DecisionTree.from_dict(json.loads(json.dumps(tree.to_dict())))
-    assert json.dumps(back.to_dict()) == json.dumps(tree.to_dict())
-    assert np.array_equal(
-        predict_batch(back, tiny_task.features),
-        predict_batch(tree, tiny_task.features),
-    )
 
 
 # ------------------------------------------------------------------- predict
@@ -267,3 +258,176 @@ def test_masked_out_features_cannot_affect_predictions(synth_flood):
     assert np.array_equal(
         predict_batch(tree, project(perturbed, mask).features), baseline
     )
+
+
+# ------------------------------- level-synchronous fit vs the per-node reference
+
+
+def assert_same_tree(data, config):
+    """``fit`` gives the per-node reference's tree, array bytes and all."""
+    tree = fit(data, config)
+    reference = pernode_fit(data, config)
+    arrays = bfs_arrays(reference.root)
+    for name in TREE_ARRAYS:
+        got, want = getattr(tree, name), arrays[name]
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert (tree.node_count, tree.depth) == (reference.node_count, reference.depth)
+    return tree
+
+
+def config_variants():
+    for criterion in ("entropy", "gini"):
+        yield TreeConfig(criterion)
+        yield TreeConfig(criterion, max_depth=3)
+        yield TreeConfig(criterion, min_split_samples=7)
+
+
+@pytest.mark.parametrize("k", [8, 20, 41])
+@pytest.mark.parametrize("target", ["flood", "burst"])
+def test_fit_matches_pernode_reference_on_synthetic_traffic(request, target, k):
+    train, _ = request.getfixturevalue(f"synth_{target}")
+    columns = np.random.default_rng(k).choice(len(train.feature_names), k, replace=False)
+    projected = project(train, FeatureMask.from_indices(columns.tolist()))
+    unsorted = binary(projected.features, projected.targets)  # fit sorts it itself
+    for config in config_variants():
+        tree = assert_same_tree(projected, config)
+        again = fit(unsorted, config)
+        for name in TREE_ARRAYS:
+            assert getattr(again, name).tobytes() == getattr(tree, name).tobytes(), name
+
+
+tied_instances = st.tuples(
+    st.integers(min_value=2, max_value=40),  # records
+    st.integers(min_value=1, max_value=4),  # features
+).flatmap(
+    lambda shape: st.tuples(
+        st.lists(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, 0.5]),
+                          min_size=shape[1], max_size=shape[1]),
+                 min_size=shape[0], max_size=shape[0]),
+        st.lists(st.booleans(), min_size=shape[0], max_size=shape[0]),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    instance=tied_instances,
+    criterion=st.sampled_from(["entropy", "gini"]),
+    max_depth=st.none() | st.integers(min_value=1, max_value=4),
+    min_split_samples=st.integers(min_value=2, max_value=6),
+)
+def test_fit_matches_pernode_reference_on_tied_matrices(
+        instance, criterion, max_depth, min_split_samples):
+    rows, y = instance
+    config = TreeConfig(criterion, max_depth, min_split_samples)
+    assert_same_tree(binary(rows, y), config)
+    # one column per block: ties across blocks must still go to the lowest column
+    with mock.patch.object(tree_module, "_BLOCK_ELEMENTS", 1):
+        assert_same_tree(binary(rows, y), config)
+
+
+# huge values whose midpoint overflows, subnormals, signed zeros, and adjacent
+# floats whose midpoint rounds onto one of the two neighbours
+one_up = float(np.nextafter(1.0, 2.0))
+EXTREME_VALUES = [
+    -1.7976931348623157e308, -1e308, 1e308, 1.5e308, 1.7976931348623157e308,
+    5e-324, -5e-324, 1e-323, 2.2250738585072014e-308, -0.0, 0.0,
+    1.0, one_up, float(np.nextafter(one_up, 2.0)), float(np.nextafter(1.0, 0.0)),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    instance=st.integers(min_value=2, max_value=30).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(st.sampled_from(EXTREME_VALUES), min_size=2, max_size=2),
+                     min_size=n, max_size=n),
+            st.lists(st.booleans(), min_size=n, max_size=n),
+        )
+    ),
+    criterion=st.sampled_from(["entropy", "gini"]),
+)
+def test_fit_matches_pernode_reference_on_extreme_adjacent_floats(instance, criterion):
+    rows, y = instance
+    assert_same_tree(binary(rows, y), TreeConfig(criterion))
+
+
+def test_fit_matches_pernode_reference_on_every_extreme_value():
+    values = np.array(EXTREME_VALUES * 2)
+    X = np.column_stack([values, values[::-1], -values])
+    y = np.arange(values.size) % 3 == 0
+    for config in config_variants():
+        assert_same_tree(binary(X, y), config)
+
+
+@pytest.mark.parametrize("block", [1, 64, 4096])
+def test_fit_in_column_blocks_matches_pernode_reference(synth_burst, monkeypatch, block):
+    train, _ = synth_burst
+    monkeypatch.setattr(tree_module, "_BLOCK_ELEMENTS", block)
+    for config in config_variants():
+        assert_same_tree(train, config)
+
+
+def test_predict_batch_agrees_with_predict_on_deep_trees(synth_burst):
+    train, test = synth_burst
+    tree = fit(train, TreeConfig("gini"))
+    assert tree.depth >= 5
+    assert list(predict_batch(tree, test.features)) == [predict(tree, r) for r in test.features]
+
+
+# ------------------------------------------------------ the shared column sort
+
+
+def test_relabels_and_masks_of_one_matrix_share_one_sort(synth_encoded, monkeypatch):
+    train, test, _ = synth_encoded
+    fresh = nslkdd.Dataset(train.features.copy(), train.labels)
+    sorted_matrices = []
+    real = nslkdd.sorted_columns
+    monkeypatch.setattr(
+        nslkdd, "sorted_columns", lambda m: sorted_matrices.append(id(m)) or real(m))
+    for target in ("flood", "burst"):
+        for names in (["count"], ["count", "src_bytes", "service"], ["duration"]):
+            compute_fitness(FeatureMask.from_names(names),
+                            relabel(fresh, {target}), relabel(test, {target}))
+    # one sort of the training matrix; the test matrix is never sorted
+    assert sorted_matrices == [id(fresh.features)]
+    cached = nslkdd._SORTED[id(fresh.features)]
+    project(relabel(fresh, {"flood"}), FeatureMask.from_names(["count"])).column_order()
+    assert nslkdd._SORTED[id(fresh.features)] is cached
+    # the cached sort goes with its matrix
+    key = id(fresh.features)
+    del cached, fresh
+    assert key not in nslkdd._SORTED
+
+
+def test_projected_order_sorts_each_column(synth_flood):
+    train, _ = synth_flood
+    data = project(train, FeatureMask.from_names(["duration", "service", "src_bytes", "count"]))
+    rows, values = data.column_order()
+    assert rows.dtype == np.int32 and rows.shape == data.features.T.shape
+    for j in range(rows.shape[0]):
+        assert np.array_equal(np.sort(rows[j]), np.arange(len(data)))
+        assert np.array_equal(values[j], data.features[rows[j], j])
+        assert (np.diff(data.features[rows[j], j]) >= 0).all()
+
+
+def test_worker_threads_share_one_sort(synth_encoded, monkeypatch):
+    train, _, _ = synth_encoded
+    # large enough that the sort outlasts the threads' start
+    fresh = nslkdd.Dataset(np.tile(train.features, (20, 1)), train.labels * 20)
+    calls = []
+    real = nslkdd.sorted_columns
+    monkeypatch.setattr(nslkdd, "sorted_columns", lambda m: calls.append(id(m)) or real(m))
+    masks = [FeatureMask.from_indices(range(j, j + 3)) for j in range(24)]
+    projected = [project(relabel(fresh, {"burst"}), mask) for mask in masks]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(data.column_order) for data in projected]
+            orders = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert calls == [id(fresh.features)]
+    for data, (rows, _) in zip(projected, orders):
+        assert np.array_equal(rows, sorted_columns(data.features)[0])
