@@ -175,6 +175,9 @@ def main(argv=None) -> int:
                 f"(FP {pct(report.fp_rate)}, FN {pct(report.fn_rate)})  "
                 f"fitness {report.fitness:.6f}"
             )
+        if args.mode == "ga":
+            print(result.evaluation_line())
+            log_lines.append(result.evaluation_line())
         print(f"completed in {result.duration_seconds:.1f}s")
         for warning in result.codebook.warnings():
             print(f"warning: {warning}")

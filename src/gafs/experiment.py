@@ -61,6 +61,11 @@ class ExperimentResult:
     history: tuple[float, ...]  # empty in fixed mode
     codebook: Codebook
     duration_seconds: float
+    # evaluation counts, as in GAResult; a fixed-mode run fits its one mask
+    requested: int = 0
+    exact_hits: int = 0
+    memo_hits: int = 0
+    fitted: int = 0
 
     @property
     def mask(self) -> FeatureMask:
@@ -82,6 +87,11 @@ class ExperimentResult:
     @property
     def selected_aliases(self) -> tuple[str, ...]:
         return tuple(report_alias(n) for n in self.selected_features)
+
+    def evaluation_line(self) -> str:
+        """The evaluation counts in one line, for the console and run.log."""
+        return (f"evaluations requested={self.requested} exact_hits={self.exact_hits} "
+                f"memo_hits={self.memo_hits} fitted={self.fitted}")
 
     def feature_line(self) -> str:
         """Selected features in report style: ``target: 'alias', 'alias'``."""
@@ -192,6 +202,7 @@ def run_experiment(
         mask = FeatureMask.from_names(_validate_features(cfg.fixed_features))
         best = compute_fitness(mask, train_binary, test_binary, cfg.criterion)
         history: tuple[float, ...] = ()
+        counts = {"requested": 1, "fitted": 1}
     else:
         ga_cfg = dataclasses.replace(cfg.ga, criterion=cfg.criterion)
         result = run(
@@ -199,6 +210,8 @@ def run_experiment(
             workers=workers, use_cache=use_cache, trace=trace,
         )
         best, history = result.best, result.history
+        counts = {name: getattr(result, name)
+                  for name in ("requested", "exact_hits", "memo_hits", "fitted")}
 
     return ExperimentResult(
         config=cfg,
@@ -207,6 +220,7 @@ def run_experiment(
         history=history,
         codebook=codebook,
         duration_seconds=time.perf_counter() - started,
+        **counts,
     )
 
 

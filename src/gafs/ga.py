@@ -1,19 +1,20 @@
 """Seeded genetic search over feature masks, scored by a wrapped decision tree.
 
-Each candidate mask is evaluated by projecting the training and test sets
-through it, fitting a tree on the projected training data and validating on
-the projected test data; fitness is ``1 - f_measure`` (lower is better, 0 is
-perfect). Survivor selection is merge-and-truncate over parents plus
-children, so the best individual can never get worse.
+Each candidate mask is evaluated by fitting a tree on the mask's training
+columns and validating it on the test set projected through the mask;
+fitness is ``1 - f_measure`` (lower is better, 0 is perfect). Survivor
+selection is merge-and-truncate over parents plus children, so the best
+individual can never get worse.
 
 Random draws for selection, crossover and mutation are made sequentially
 from one seeded stream before any evaluation is dispatched; evaluations are
-pure and gathered by index, so enabling worker threads or the fitness cache
+pure and gathered by index, so enabling worker threads or the fitness memo
 cannot change the outcome of a run.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -21,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .metrics import ConfusionMatrix, MetricsReport, confusion, metrics, ranking_key
-from .nslkdd import N_FEATURES, BinaryLabeledDataset, FeatureMask, project
+from .nslkdd import N_FEATURES, BinaryLabeledDataset, FeatureMask, mask_columns, project
 from .tree import TreeConfig, fit, predict_batch
 
 Tracer = Callable[[int, "EvaluatedIndividual"], None]
@@ -63,6 +64,8 @@ class EvaluatedIndividual:
     selected_count: int
     metrics: MetricsReport | None = None
     cm: ConfusionMatrix | None = None
+    # the features the fitted tree splits on; None when no tree was fitted
+    used_features: FeatureMask | None = None
 
 
 @dataclass
@@ -76,6 +79,10 @@ class Population:
 class GAResult:
     best: EvaluatedIndividual
     history: tuple[float, ...]  # best fitness at init and after each generation
+    requested: int  # masks the search asked to evaluate
+    exact_hits: int  # served by an evaluation of the same mask
+    memo_hits: int  # served by the tree of a larger mask (FitnessMemo)
+    fitted: int  # passed to compute_fitness
 
 
 def compute_fitness(
@@ -84,32 +91,78 @@ def compute_fitness(
     test: BinaryLabeledDataset,
     criterion: str = "entropy",
 ) -> EvaluatedIndividual:
-    """Train on the masked training set, validate on the masked test set.
+    """Train on the mask's training columns, validate on the masked test set.
 
-    The all-zero mask never reaches the classifier: it is assigned the worst
-    possible fitness of 1.0 directly.
+    The tree reads the training columns in place; only the test set is
+    projected. The all-zero mask never reaches the classifier: it is
+    assigned the worst possible fitness of 1.0 directly.
     """
     if mask.selected_count == 0:
         return EvaluatedIndividual(mask=mask, fitness=1.0, selected_count=0)
-    tree = fit(project(train, mask), TreeConfig(criterion=criterion))
+    tree = fit(train, TreeConfig(criterion=criterion), mask_columns(train, mask))
     projected_test = project(test, mask)
     predictions = predict_batch(tree, projected_test.features)
     cm = confusion(predictions, projected_test.targets)
     report = metrics(cm)
+    used = np.unique(tree.feature[tree.feature >= 0])
     return EvaluatedIndividual(
         mask=mask,
         fitness=report.fitness,
         selected_count=mask.selected_count,
         metrics=report,
         cm=cm,
+        used_features=FeatureMask.from_names([tree.feature_names[f] for f in used]),
     )
+
+
+def _bits(mask: FeatureMask) -> int:
+    return sum(1 << i for i, gene in enumerate(mask.genes) if gene)
+
+
+class FitnessMemo:
+    """Evaluations of one run, served to every mask known to grow the same tree.
+
+    Say the tree fitted for mask M splits only on features U. Every mask X
+    with U <= X <= M grows that tree too: dropping features that won no node
+    leaves each node's first best split (lowest feature index, then lowest
+    threshold) in place. So a non-empty X takes M's fitness, confusion and
+    metrics without a fit, keeping its own mask and selected_count; X = M is
+    an exact repeat. Masks are int bitmasks, entries are grouped by U.
+    """
+
+    def __init__(self) -> None:
+        self._groups: dict[int, dict[int, EvaluatedIndividual]] = {}  # U -> M -> result
+        self.exact_hits = 0
+        self.memo_hits = 0
+
+    def lookup(self, mask: FeatureMask) -> EvaluatedIndividual | None:
+        x = _bits(mask)
+        served = None
+        for used, fitted in self._groups.items():
+            if used & ~x:
+                continue
+            if x in fitted:
+                self.exact_hits += 1
+                return fitted[x]
+            if served is None and x:  # only its own evaluation serves the empty mask
+                served = next((r for m, r in fitted.items() if not x & ~m), None)
+        if served is None:
+            return None
+        self.memo_hits += 1
+        return dataclasses.replace(served, mask=mask, selected_count=mask.selected_count)
+
+    def add(self, individual: EvaluatedIndividual) -> None:
+        used = individual.used_features
+        group = self._groups.setdefault(0 if used is None else _bits(used), {})
+        group[_bits(individual.mask)] = individual
 
 
 class _Evaluator:
     """Evaluates mask batches, optionally memoized and threaded.
 
-    Results are returned in input order, so neither the cache nor the thread
-    pool can perturb a run.
+    Results are returned in input order, and a batch is looked up only in the
+    memo of earlier batches, before any evaluation is dispatched, so neither
+    the memo nor the thread pool can perturb a run.
     """
 
     def __init__(
@@ -117,28 +170,29 @@ class _Evaluator:
         train: BinaryLabeledDataset,
         test: BinaryLabeledDataset,
         criterion: str,
-        cache: dict[tuple[bool, ...], EvaluatedIndividual] | None,
+        memo: FitnessMemo | None,
         workers: int,
     ) -> None:
         self.train = train
         self.test = test
         self.criterion = criterion
-        self.cache = cache
+        self.memo = memo
         self.workers = max(1, workers)
 
     def _evaluate_one(self, mask: FeatureMask) -> EvaluatedIndividual:
         return compute_fitness(mask, self.train, self.test, self.criterion)
 
     def __call__(self, masks: list[FeatureMask]) -> list[EvaluatedIndividual]:
-        if self.cache is None:
+        if self.memo is None:
             return self._evaluate_batch(masks)
-        missing = [m for m in masks if m.genes not in self.cache]
+        served = [self.memo.lookup(m) for m in masks]
         # dedupe while preserving order; repeated masks are common late in a run
-        unique = list(dict.fromkeys(m.genes for m in missing))
-        evaluated = self._evaluate_batch([FeatureMask(g) for g in unique])
-        for individual in evaluated:
-            self.cache[individual.mask.genes] = individual
-        return [self.cache[m.genes] for m in masks]
+        missing = list(dict.fromkeys(m for m, s in zip(masks, served) if s is None))
+        fitted = dict(zip(missing, self._evaluate_batch(missing)))
+        self.memo.exact_hits += sum(s is None for s in served) - len(missing)
+        for individual in fitted.values():
+            self.memo.add(individual)
+        return [fitted[m] if s is None else s for m, s in zip(masks, served)]
 
     def _evaluate_batch(self, masks: list[FeatureMask]) -> list[EvaluatedIndividual]:
         if self.workers == 1 or len(masks) <= 1:
@@ -162,7 +216,7 @@ def init_population(
     train: BinaryLabeledDataset,
     test: BinaryLabeledDataset,
     *,
-    cache: dict | None = None,
+    cache: FitnessMemo | None = None,
     workers: int = 1,
 ) -> Population:
     """Draw, evaluate and sort the seeded initial population.
@@ -219,7 +273,7 @@ def evolve(
     train: BinaryLabeledDataset,
     test: BinaryLabeledDataset,
     *,
-    cache: dict | None = None,
+    cache: FitnessMemo | None = None,
     workers: int = 1,
 ) -> Population:
     """One generation: breed population_size children, merge, sort, truncate."""
@@ -259,19 +313,17 @@ def run(
     features, then gene order) and the best-fitness trajectory, one entry for
     the initial population plus one per completed generation.
     """
-    cache: dict | None = {} if use_cache else None
-    pop = init_population(cfg, train, test, cache=cache, workers=workers)
+    memo = FitnessMemo() if use_cache else None
+    pop = init_population(cfg, train, test, cache=memo, workers=workers)
     history = [pop.individuals[0].fitness]
     if trace is not None:
         trace(0, pop.individuals[0])
-    if pop.individuals[0].fitness <= cfg.early_stop_fitness:
-        return GAResult(best=pop.individuals[0], history=tuple(history))
-    for _ in range(cfg.generations):
-        pop = evolve(pop, cfg, train, test, cache=cache, workers=workers)
-        best = pop.individuals[0]
-        history.append(best.fitness)
+    while pop.individuals[0].fitness > cfg.early_stop_fitness and pop.generation < cfg.generations:
+        pop = evolve(pop, cfg, train, test, cache=memo, workers=workers)
+        history.append(pop.individuals[0].fitness)
         if trace is not None:
-            trace(pop.generation, best)
-        if best.fitness <= cfg.early_stop_fitness:
-            break
-    return GAResult(best=pop.individuals[0], history=tuple(history))
+            trace(pop.generation, pop.individuals[0])
+    requested = cfg.population_size * len(history)
+    exact, served = (memo.exact_hits, memo.memo_hits) if memo is not None else (0, 0)
+    return GAResult(pop.individuals[0], tuple(history), requested, exact, served,
+                    requested - exact - served)

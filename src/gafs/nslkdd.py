@@ -17,7 +17,6 @@ import threading
 import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -174,9 +173,6 @@ class BinaryLabeledDataset:
     targets: np.ndarray  # (n,) bool
     feature_names: tuple[str, ...]
     target_spec: frozenset[str]
-    # from ``project``: ``sorted_columns(features)`` out of one sort of the
-    # unprojected matrix; when None, ``fit`` sorts the columns itself
-    column_order: Callable[[], tuple[np.ndarray, np.ndarray]] | None = None
 
     def __len__(self) -> int:
         return len(self.targets)
@@ -361,20 +357,25 @@ def relabel(data: Dataset, target_attacks) -> BinaryLabeledDataset:
     )
 
 
-def project(data: BinaryLabeledDataset, mask: FeatureMask) -> BinaryLabeledDataset:
-    """Restrict the dataset to the mask's columns, preserving canonical order."""
+def mask_columns(data: BinaryLabeledDataset, mask: FeatureMask) -> list[int]:
+    """Positions of the mask's columns in ``data``, in canonical order."""
     if mask.selected_count == 0:
         raise DegenerateMaskError("mask selects no features")
     wanted = set(mask.selected_names())
     keep = [i for i, name in enumerate(data.feature_names) if name in wanted]
     if not keep:
         raise DegenerateMaskError("mask selects no columns present in this dataset")
+    return keep
+
+
+def project(data: BinaryLabeledDataset, mask: FeatureMask) -> BinaryLabeledDataset:
+    """Restrict the dataset to the mask's columns, preserving canonical order."""
+    keep = mask_columns(data, mask)
     return BinaryLabeledDataset(
         features=data.features[:, keep],
         targets=data.targets,
         feature_names=tuple(data.feature_names[i] for i in keep),
         target_spec=data.target_spec,
-        column_order=lambda: _sorted_projection(data.features, keep),
     )
 
 
@@ -386,7 +387,7 @@ def sorted_columns(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ``sorted_columns`` of the matrices trees were fitted on, keyed on the matrix
-# object: all relabels and projections of one encoded set share one sort.
+# object: all relabels and masks of one encoded set share one sort.
 _SORTED: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _SORTING = threading.Lock()
 

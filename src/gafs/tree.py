@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nslkdd import BinaryLabeledDataset, sorted_columns
+from .nslkdd import BinaryLabeledDataset, _sorted_projection, sorted_columns
 
 CRITERIA = ("entropy", "gini")
 
@@ -132,7 +132,8 @@ def _level_splits(values, labels, size, pos, criterion: str):
         column, at = np.divmod(candidates, width - 1)
         flat = candidates + column  # the same place in the raveled block
         lo, hi = block_values.ravel()[flat], block_values.ravel()[flat + 1]
-        thresholds = 0.5 * (lo + hi)
+        with np.errstate(over="ignore"):  # an infinite midpoint fails the guard below
+            thresholds = 0.5 * (lo + hi)
         valid = (thresholds >= lo) & (thresholds < hi)
         column, at, flat, thresholds = column[valid], at[valid], flat[valid], thresholds[valid]
         node = node_at[at]
@@ -183,10 +184,14 @@ def best_split(features, targets, criterion: str) -> Split | None:
     return Split(int(feature[0]), float(threshold[0]), float(decrease[0]))
 
 
-def fit(train: BinaryLabeledDataset, config: TreeConfig | None = None) -> DecisionTree:
-    """Grow a tree on the (already projected) training set, a level at a time.
+def fit(train: BinaryLabeledDataset, config: TreeConfig | None = None,
+        columns: list[int] | None = None) -> DecisionTree:
+    """Grow a tree on some columns of the training set, a level at a time.
 
-    A node becomes a leaf when it is pure, has no candidate split, holds fewer
+    ``columns`` are positions in ``train.features`` (all of them when None);
+    the tree's feature indices count within them. Their values come out of
+    the cached sort of the whole matrix, so no projected copy is built. A
+    node becomes a leaf when it is pure, has no candidate split, holds fewer
     than ``min_split_samples`` samples or is at ``max_depth``. Same inputs
     always give an identical tree.
     """
@@ -195,11 +200,14 @@ def fit(train: BinaryLabeledDataset, config: TreeConfig | None = None) -> Decisi
     y = np.asarray(train.targets, dtype=bool)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("training data must contain at least one record")
-    if X.shape[1] == 0:
+    columns = list(range(X.shape[1]) if columns is None else columns)
+    if not columns:
         raise ValueError("training data must contain at least one feature column")
     if X.shape[0] != y.size:
         raise ValueError("feature matrix and targets differ in length")
-    n, k = X.shape
+    rows, values = _sorted_projection(X, columns)
+    labels = y[rows]
+    k, n = rows.shape
 
     def is_open(size: np.ndarray, pos: np.ndarray, depth: int) -> np.ndarray:
         deep = config.max_depth is not None and depth >= config.max_depth
@@ -210,10 +218,6 @@ def fit(train: BinaryLabeledDataset, config: TreeConfig | None = None) -> Decisi
     splits = []
     ids, size, pos = (a[is_open(made[0][1], made[0][2], 0)] for a in made[0])
     depth = 0
-    if ids.size:
-        rows, values = (train.column_order() if train.column_order is not None
-                        else sorted_columns(X))
-        labels = y[rows]
     while ids.size:
         feature, threshold, decrease, left_size, left_pos = _level_splits(
             values, labels, size, pos, config.criterion)
@@ -254,10 +258,11 @@ def fit(train: BinaryLabeledDataset, config: TreeConfig | None = None) -> Decisi
     feature, left, right = (np.full(node.size, -1, dtype=np.intp) for _ in range(3))
     threshold, decrease = np.zeros(node.size), np.zeros(node.size)
     if splits:
-        parent, *columns = map(np.concatenate, zip(*splits))
-        feature[parent], threshold[parent], decrease[parent], left[parent], right[parent] = columns
+        parent, *arrays = map(np.concatenate, zip(*splits))
+        feature[parent], threshold[parent], decrease[parent], left[parent], right[parent] = arrays
     return DecisionTree(feature, threshold, decrease, left, right, counts,
-                        counts[:, 1] > counts[:, 0], config, k, depth, tuple(train.feature_names))
+                        counts[:, 1] > counts[:, 0], config, k, depth,
+                        tuple(train.feature_names[i] for i in columns))
 
 
 def _partition(layout, side: np.ndarray, width_left: int, width_right: int):

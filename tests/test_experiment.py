@@ -347,3 +347,22 @@ def test_real_land_fixed_experiment_end_to_end(tmp_path, real_paths):
     emit_reports(result, tmp_path / "out")
     line = (tmp_path / "out" / "features.txt").read_text().strip()
     assert line == "land: 'land'"
+
+
+def test_cli_ga_mode_reports_evaluation_counts(tmp_path, synth_files, capsys):
+    train, test = synth_files
+    result = run_experiment(ga_cfg(synth_files, pop=8, generations=4, target="burst"))
+    assert result.requested == 8 * len(result.history) == 40
+    assert result.requested == result.exact_hits + result.memo_hits + result.fitted
+    assert result.fitted < result.requested
+    fixed = run_experiment(fixed_cfg(synth_files))
+    assert (fixed.requested, fixed.exact_hits, fixed.memo_hits, fixed.fitted) == (1, 0, 0, 1)
+    assert run_cli(
+        "--train", train, "--test", test, "--mode", "ga", "--attack", "burst",
+        "--pop", 8, "--generations", 4, "--seed", 3, "--out", tmp_path / "out",
+    ) == 0
+    out = capsys.readouterr().out.splitlines()
+    line = ("evaluations requested=40 exact_hits={} memo_hits={} fitted={}"
+            .format(result.exact_hits, result.memo_hits, result.fitted))
+    assert line in out
+    assert (tmp_path / "out" / "run.log").read_text().splitlines()[-1] == line

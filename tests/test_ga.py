@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from gafs import ga
 from gafs.ga import (
     EvaluatedIndividual,
+    FitnessMemo,
     GAConfig,
     Population,
     compute_fitness,
@@ -328,3 +332,78 @@ def test_run_respects_candidate_features(tiny_sets):
                    candidate_features=candidates, early_stop_fitness=-1.0)
     result = run(cfg, train, test)
     assert set(result.best.mask.indices()) <= set(candidates.indices())
+
+
+# ------------------------------------------------------- used-feature memo
+
+RESULT_FIELDS = ("mask", "fitness", "selected_count", "cm", "metrics")
+
+
+def assert_same_run(a, b):
+    assert a.history == b.history
+    for name in RESULT_FIELDS:
+        assert getattr(a.best, name) == getattr(b.best, name), name
+
+
+@pytest.mark.parametrize("criterion", ["entropy", "gini"])
+@pytest.mark.parametrize("target", ["flood", "burst"])
+def test_memo_matches_uncached_runs_with_fewer_fits(request, monkeypatch, target, criterion):
+    train, test = request.getfixturevalue(f"synth_{target}")
+    fits = []
+    real = ga.fit
+    monkeypatch.setattr(ga, "fit", lambda *args: fits.append(args) or real(*args))
+    for seed in (1, 2, 3):
+        cfg = GAConfig(seed=seed, criterion=criterion, population_size=10, generations=6,
+                       early_stop_fitness=-1.0)
+        fits.clear()
+        uncached = run(cfg, train, test, use_cache=False)
+        uncached_fits = len(fits)
+        fits.clear()
+        memo = run(cfg, train, test, use_cache=True)
+        memo_fits = len(fits)
+        threaded = run(cfg, train, test, use_cache=True, workers=2)
+        assert_same_run(memo, uncached)
+        assert_same_run(threaded, uncached)
+        counts = (memo.requested, memo.exact_hits, memo.memo_hits, memo.fitted)
+        assert (threaded.requested, threaded.exact_hits,
+                threaded.memo_hits, threaded.fitted) == counts
+        assert memo.requested == uncached.requested == uncached.fitted == uncached_fits
+        assert memo.requested == memo.exact_hits + memo.memo_hits + memo.fitted
+        assert memo.memo_hits > 0 and memo_fits == memo.fitted < uncached_fits
+
+
+def test_memo_serves_leaf_trees_but_never_the_empty_mask(tiny_sets):
+    train, test = tiny_sets
+    empty = FeatureMask((False,) * N_FEATURES)
+    constant = FeatureMask.from_indices([1, 2, 3])  # constant columns: the root is a leaf
+    leaf = compute_fitness(constant, train, test)
+    assert leaf.used_features == empty and leaf.cm is not None
+    memo = FitnessMemo()
+    memo.add(leaf)
+    assert memo.lookup(empty) is None
+    smaller = FeatureMask.from_indices([2])
+    served = memo.lookup(smaller)
+    assert served == compute_fitness(smaller, train, test)
+    assert (served.mask, served.selected_count) == (smaller, 1)
+    assert (memo.exact_hits, memo.memo_hits) == (0, 1)
+    # through a run: constant candidates with heavy mutation breed empty children
+    cfg = GAConfig(seed=1, population_size=4, generations=6, mutation_rate=0.5,
+                   candidate_features=FeatureMask.from_indices([1, 2, 3, 6]),
+                   early_stop_fitness=-1.0)
+    with_memo = run(cfg, train, test, use_cache=True)
+    assert_same_run(with_memo, run(cfg, train, test, use_cache=False))
+    assert with_memo.memo_hits > 0
+    best = with_memo.best  # every mask scores 1.0, so the fewest genes win
+    assert (best.selected_count, best.fitness, best.cm, best.used_features) == (0, 1.0, None, None)
+
+
+def test_memo_lives_for_one_run(synth_flood, synth_burst):
+    cfg = GAConfig(seed=3, population_size=10, generations=4, early_stop_fitness=-1.0)
+    first = run(cfg, *synth_burst)
+    run(cfg, *synth_flood)  # the same seed asks for the same first masks
+    again = run(cfg, *synth_burst)
+    assert_same_run(again, run(cfg, *synth_burst, use_cache=False))
+    assert (again.exact_hits, again.memo_hits, again.fitted) == \
+        (first.exact_hits, first.memo_hits, first.fitted)
+    gini = dataclasses.replace(cfg, criterion="gini")
+    assert_same_run(run(gini, *synth_burst), run(gini, *synth_burst, use_cache=False))

@@ -1,3 +1,4 @@
+import contextlib
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
@@ -7,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gafs import nslkdd, tree as tree_module
+from gafs import ga, nslkdd, tree as tree_module
 from gafs.ga import compute_fitness
-from gafs.nslkdd import BinaryLabeledDataset, FeatureMask, project, relabel, sorted_columns
+from gafs.nslkdd import (
+    BinaryLabeledDataset, FeatureMask, mask_columns, project, relabel, sorted_columns,
+)
 from gafs.tree import TreeConfig, best_split, fit, impurity, predict_batch
 
 from oracles import bfs_arrays, brute_force_splits, pernode_fit, predict
@@ -263,10 +266,15 @@ def test_masked_out_features_cannot_affect_predictions(synth_flood):
 # ------------------------------- level-synchronous fit vs the per-node reference
 
 
-def assert_same_tree(data, config):
-    """``fit`` gives the per-node reference's tree, array bytes and all."""
+def assert_same_tree(data, config, extreme=False):
+    """``fit`` gives the per-node reference's tree, array bytes and all.
+
+    With ``extreme``, the verbatim reference may overflow a midpoint and warn;
+    ``fit`` itself must stay silent.
+    """
     tree = fit(data, config)
-    reference = pernode_fit(data, config)
+    with np.errstate(over="ignore") if extreme else contextlib.nullcontext():
+        reference = pernode_fit(data, config)
     arrays = bfs_arrays(reference.root)
     for name in TREE_ARRAYS:
         got, want = getattr(tree, name), arrays[name]
@@ -286,14 +294,17 @@ def config_variants():
 @pytest.mark.parametrize("target", ["flood", "burst"])
 def test_fit_matches_pernode_reference_on_synthetic_traffic(request, target, k):
     train, _ = request.getfixturevalue(f"synth_{target}")
-    columns = np.random.default_rng(k).choice(len(train.feature_names), k, replace=False)
-    projected = project(train, FeatureMask.from_indices(columns.tolist()))
-    unsorted = binary(projected.features, projected.targets)  # fit sorts it itself
+    chosen = np.random.default_rng(k).choice(len(train.feature_names), k, replace=False)
+    mask = FeatureMask.from_indices(chosen.tolist())
+    projected = project(train, mask)
     for config in config_variants():
         tree = assert_same_tree(projected, config)
-        again = fit(unsorted, config)
+        # the mask's columns read in place, out of the sort of all 41
+        in_place = fit(train, config, mask_columns(train, mask))
         for name in TREE_ARRAYS:
-            assert getattr(again, name).tobytes() == getattr(tree, name).tobytes(), name
+            assert getattr(in_place, name).tobytes() == getattr(tree, name).tobytes(), name
+        assert in_place.feature_names == projected.feature_names
+        assert (in_place.feature_count, in_place.depth) == (k, tree.depth)
 
 
 tied_instances = st.tuples(
@@ -349,7 +360,7 @@ EXTREME_VALUES = [
 )
 def test_fit_matches_pernode_reference_on_extreme_adjacent_floats(instance, criterion):
     rows, y = instance
-    assert_same_tree(binary(rows, y), TreeConfig(criterion))
+    assert_same_tree(binary(rows, y), TreeConfig(criterion), extreme=True)
 
 
 def test_fit_matches_pernode_reference_on_every_extreme_value():
@@ -357,7 +368,7 @@ def test_fit_matches_pernode_reference_on_every_extreme_value():
     X = np.column_stack([values, values[::-1], -values])
     y = np.arange(values.size) % 3 == 0
     for config in config_variants():
-        assert_same_tree(binary(X, y), config)
+        assert_same_tree(binary(X, y), config, extreme=True)
 
 
 @pytest.mark.parametrize("block", [1, 64, 4096])
@@ -392,18 +403,21 @@ def test_relabels_and_masks_of_one_matrix_share_one_sort(synth_encoded, monkeypa
     # one sort of the training matrix; the test matrix is never sorted
     assert sorted_matrices == [id(fresh.features)]
     cached = nslkdd._SORTED[id(fresh.features)]
-    project(relabel(fresh, {"flood"}), FeatureMask.from_names(["count"])).column_order()
+    flood = relabel(fresh, {"flood"})
+    count = mask_columns(flood, FeatureMask.from_names(["count"]))
+    nslkdd._sorted_projection(flood.features, count)
     assert nslkdd._SORTED[id(fresh.features)] is cached
     # the cached sort goes with its matrix
     key = id(fresh.features)
-    del cached, fresh
+    del cached, fresh, flood
     assert key not in nslkdd._SORTED
 
 
 def test_projected_order_sorts_each_column(synth_flood):
     train, _ = synth_flood
-    data = project(train, FeatureMask.from_names(["duration", "service", "src_bytes", "count"]))
-    rows, values = data.column_order()
+    mask = FeatureMask.from_names(["duration", "service", "src_bytes", "count"])
+    data = project(train, mask)
+    rows, values = nslkdd._sorted_projection(train.features, mask_columns(train, mask))
     assert rows.dtype == np.int32 and rows.shape == data.features.T.shape
     for j in range(rows.shape[0]):
         assert np.array_equal(np.sort(rows[j]), np.arange(len(data)))
@@ -419,15 +433,27 @@ def test_worker_threads_share_one_sort(synth_encoded, monkeypatch):
     real = nslkdd.sorted_columns
     monkeypatch.setattr(nslkdd, "sorted_columns", lambda m: calls.append(id(m)) or real(m))
     masks = [FeatureMask.from_indices(range(j, j + 3)) for j in range(24)]
-    projected = [project(relabel(fresh, {"burst"}), mask) for mask in masks]
+    burst = relabel(fresh, {"burst"})
+    projected = [project(burst, mask) for mask in masks]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(data.column_order) for data in projected]
+            futures = [pool.submit(nslkdd._sorted_projection, burst.features,
+                                   mask_columns(burst, mask)) for mask in masks]
             orders = [future.result(timeout=60) for future in futures]
     finally:
         sys.setswitchinterval(interval)
     assert calls == [id(fresh.features)]
     for data, (rows, _) in zip(projected, orders):
         assert np.array_equal(rows, sorted_columns(data.features)[0])
+
+
+def test_compute_fitness_projects_only_the_test_set(synth_flood, monkeypatch):
+    train, test = synth_flood
+    seen = []
+    real = ga.project
+    monkeypatch.setattr(ga, "project", lambda data, mask: seen.append(data) or real(data, mask))
+    for names in (["count"], ["duration", "service", "src_bytes", "count"]):
+        compute_fitness(FeatureMask.from_names(names), train, test)
+    assert len(seen) == 2 and all(data is test for data in seen)
