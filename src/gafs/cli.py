@@ -33,7 +33,6 @@ DEFAULTS = {
     "tournament": 2,
     "seed": 0,
     "early_stop": 0.0,
-    "workers": 1,
 }
 
 
@@ -64,8 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="stop once best fitness reaches this value")
     parser.add_argument("--out", help="directory for result files")
     parser.add_argument("--config", help="JSON file with defaults for any flag above")
-    parser.add_argument("--workers", type=int,
-                        help="worker threads for fitness evaluation (does not change results)")
     parser.add_argument("--verify-appendix", action="store_true",
                         help="re-evaluate the bundled reference feature sets and show deltas")
     return parser
@@ -154,10 +151,7 @@ def main(argv=None) -> int:
                 f"{generation},{best.fitness:.17g},{best.selected_count},{elapsed:.3f}"
             )
 
-        result = run_experiment(
-            cfg, workers=settings["workers"],
-            trace=trace if args.mode == "ga" else None,
-        )
+        result = run_experiment(cfg, trace=trace if args.mode == "ga" else None)
 
         print()
         if result.cm is None:

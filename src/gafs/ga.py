@@ -115,10 +115,6 @@ def compute_fitness(
     )
 
 
-def _bits(mask: FeatureMask) -> int:
-    return sum(1 << i for i, gene in enumerate(mask.genes) if gene)
-
-
 class FitnessMemo:
     """Evaluations of one run, served to every mask known to grow the same tree.
 
@@ -127,7 +123,9 @@ class FitnessMemo:
     leaves each node's first best split (lowest feature index, then lowest
     threshold) in place. So a non-empty X takes M's fitness, confusion and
     metrics without a fit, keeping its own mask and selected_count; X = M is
-    an exact repeat. Masks are int bitmasks, entries are grouped by U.
+    an exact repeat. Entries are grouped by U, and a group keeps only its
+    largest masks: whatever a smaller M of the group serves, a larger one
+    serves too. Masks are int bitmasks.
     """
 
     def __init__(self) -> None:
@@ -136,7 +134,7 @@ class FitnessMemo:
         self.memo_hits = 0
 
     def lookup(self, mask: FeatureMask) -> EvaluatedIndividual | None:
-        x = _bits(mask)
+        x = mask.bitmask
         served = None
         for used, fitted in self._groups.items():
             if used & ~x:
@@ -153,10 +151,17 @@ class FitnessMemo:
 
     def add(self, individual: EvaluatedIndividual) -> None:
         used = individual.used_features
-        group = self._groups.setdefault(0 if used is None else _bits(used), {})
-        group[_bits(individual.mask)] = individual
+        group = self._groups.setdefault(0 if used is None else used.bitmask, {})
+        x = individual.mask.bitmask
+        if x:  # the empty mask stays apart: it has no tree
+            if any(m and not x & ~m for m in group):  # a larger mask of its batch serves it
+                return
+            for m in [m for m in group if m and not m & ~x]:
+                del group[m]
+        group[x] = individual
 
 
+@dataclass
 class _Evaluator:
     """Evaluates mask batches, optionally memoized and threaded.
 
@@ -165,19 +170,11 @@ class _Evaluator:
     the memo nor the thread pool can perturb a run.
     """
 
-    def __init__(
-        self,
-        train: BinaryLabeledDataset,
-        test: BinaryLabeledDataset,
-        criterion: str,
-        memo: FitnessMemo | None,
-        workers: int,
-    ) -> None:
-        self.train = train
-        self.test = test
-        self.criterion = criterion
-        self.memo = memo
-        self.workers = max(1, workers)
+    train: BinaryLabeledDataset
+    test: BinaryLabeledDataset
+    criterion: str
+    memo: FitnessMemo | None
+    workers: int
 
     def _evaluate_one(self, mask: FeatureMask) -> EvaluatedIndividual:
         return compute_fitness(mask, self.train, self.test, self.criterion)
@@ -195,7 +192,7 @@ class _Evaluator:
         return [fitted[m] if s is None else s for m, s in zip(masks, served)]
 
     def _evaluate_batch(self, masks: list[FeatureMask]) -> list[EvaluatedIndividual]:
-        if self.workers == 1 or len(masks) <= 1:
+        if self.workers <= 1 or len(masks) <= 1:
             return [self._evaluate_one(m) for m in masks]
         with ThreadPoolExecutor(max_workers=self.workers) as pool:
             return list(pool.map(self._evaluate_one, masks))

@@ -6,15 +6,17 @@ trailing difficulty score (42 or 43 columns total), which is checked and
 dropped. Loading is columnar: ``parse_file`` checks every field and returns
 the numeric columns as one float matrix and the symbolic ones as strings,
 ``build_codebook`` numbers the training set's symbolic values, and ``encode``
-maps the symbolic columns through the codebook beside the numeric ones.
+maps the symbolic columns through the codebook beside the numeric ones. An
+encoded set's rank table (``ColumnRanks``), which the trees read, is made by
+the first fit on it and shared with its relabels.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 import threading
-import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -139,6 +141,40 @@ class FeatureMask:
     def bits(self) -> str:
         return "".join("1" if g else "0" for g in self.genes)
 
+    @functools.cached_property
+    def bitmask(self) -> int:
+        """The genes as an int: gene i is bit i."""
+        return int(self.bits()[::-1], 2)
+
+
+def rank_columns(matrix: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """(k, n) int32 dense ranks of each column of ``matrix``, and each column's
+    distinct values in ascending order: ``values[j][ranks[j]]`` is column j."""
+    ranks = np.empty(matrix.shape[::-1], dtype=np.int32)
+    values = []
+    for j in range(matrix.shape[1]):
+        distinct, ranks[j] = np.unique(matrix[:, j], return_inverse=True)
+        values.append(distinct)
+    return ranks, tuple(values)
+
+
+class ColumnRanks:
+    """``rank_columns`` of a dataset's feature matrix, made on first use.
+
+    A dataset and its relabels share one; the first tree fitted on any of
+    them fills it, once even when worker threads fit at the same time.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._table: tuple[np.ndarray, tuple[np.ndarray, ...]] | None = None
+
+    def of(self, matrix: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        with self._lock:
+            if self._table is None:
+                self._table = rank_columns(matrix)
+            return self._table
+
 
 @dataclass
 class RawDataset:
@@ -160,6 +196,7 @@ class Dataset:
     features: np.ndarray  # (n, 41) float64
     labels: tuple[str, ...]
     feature_names: tuple[str, ...] = FEATURE_NAMES
+    ranks: ColumnRanks = field(default_factory=ColumnRanks, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -173,6 +210,8 @@ class BinaryLabeledDataset:
     targets: np.ndarray  # (n,) bool
     feature_names: tuple[str, ...]
     target_spec: frozenset[str]
+    # shared with the Dataset this was relabeled from; fresh for a projection
+    ranks: ColumnRanks = field(default_factory=ColumnRanks, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.targets)
@@ -354,6 +393,7 @@ def relabel(data: Dataset, target_attacks) -> BinaryLabeledDataset:
         targets=targets,
         feature_names=data.feature_names,
         target_spec=wanted,
+        ranks=data.ranks,
     )
 
 
@@ -377,26 +417,3 @@ def project(data: BinaryLabeledDataset, mask: FeatureMask) -> BinaryLabeledDatas
         feature_names=tuple(data.feature_names[i] for i in keep),
         target_spec=data.target_spec,
     )
-
-
-def sorted_columns(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(k, n) int32 rows of each column of ``matrix`` in value order, and those values."""
-    columns = np.ascontiguousarray(matrix.T)
-    rows = np.argsort(columns, axis=1).astype(np.int32)
-    return rows, np.take_along_axis(columns, rows, axis=1)
-
-
-# ``sorted_columns`` of the matrices trees were fitted on, keyed on the matrix
-# object: all relabels and masks of one encoded set share one sort.
-_SORTED: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_SORTING = threading.Lock()
-
-
-def _sorted_projection(matrix: np.ndarray, columns: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """``sorted_columns`` of some columns, from the cached sort of all of ``matrix``."""
-    with _SORTING:  # else each of the GA's worker threads would sort it once
-        if id(matrix) not in _SORTED:
-            _SORTED[id(matrix)] = sorted_columns(matrix)
-            weakref.finalize(matrix, _SORTED.pop, id(matrix), None)
-        rows, values = _SORTED[id(matrix)]
-    return rows[columns], values[columns]

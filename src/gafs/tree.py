@@ -6,11 +6,12 @@ growth is greedy: every impure node that still has a candidate threshold is
 split by the largest weighted impurity decrease. Ties are broken by lowest
 feature index, then lowest threshold, so training is fully deterministic.
 
-Growth is level-synchronous over presorted columns (SLIQ; XGBoost's exact
-greedy search): each training column is argsorted once; at each depth the
-open nodes' rows lie node after node, value-sorted within their node in
-every column, one vectorised pass splits them all, and stable partitions
-carry the order down. Trees are flat arrays in breadth-first node order.
+Growth is level-synchronous and exact, from histograms (LightGBM's split
+search with one bin per distinct value): each training column is ranked once
+among its distinct values; at each depth two bincounts per column count the
+rows and positives of every (node, rank) cell, one pass over the cells scores
+every node's candidates, and rows move down by comparing ranks. Nothing is
+presorted or partitioned. Trees are flat arrays in breadth-first node order.
 """
 
 from __future__ import annotations
@@ -19,12 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nslkdd import BinaryLabeledDataset, _sorted_projection, sorted_columns
+from .nslkdd import BinaryLabeledDataset
 
 CRITERIA = ("entropy", "gini")
 
-# Layout elements handled at once: wide levels go in blocks of columns (~8 MB temporaries).
-_BLOCK_ELEMENTS = 1 << 20
+# A level's histogram of a column is a dense table of node x rank cells while
+# it has at most this many cells per row; past that its cells come from a sort.
+_DENSE_CELLS_PER_ROW = 4
 
 
 @dataclass(frozen=True)
@@ -102,66 +104,71 @@ def impurity(class_counts, criterion: str) -> float:
     return float(value)
 
 
-def _level_splits(values, labels, size, pos, criterion: str):
-    """Best split of every node of one level, in one pass over the layout.
+def _level_splits(ranks, values, columns, rows, node, size, pos, criterion: str):
+    """Best split of every open node of one level, from a histogram per column.
 
-    ``values[j]`` is column j of the level's rows node after node (``size``
-    rows, ``pos`` positives each), sorted within each node; ``labels`` are
-    their targets. Returns per node the feature (-1: no candidate),
-    threshold, decrease, and the left child's size and positives.
+    ``ranks[j]`` and ``values[j]`` are column j's dense ranks and distinct
+    values (``rank_columns``); ``columns`` are searched in tie-break order.
+    ``rows`` are the level's rows, positives first, and ``node`` their node,
+    which holds ``size`` rows and ``pos`` positives. Returns per node the
+    position in ``columns`` of the split column (-1: no candidate), the
+    threshold, the decrease, the left child's size and positives, and the
+    rank of the largest value that goes left.
     """
-    k, width = values.shape
-    m = size.size
-    start = np.cumsum(size) - size
-    node_at = np.repeat(np.arange(m), size)  # node of each layout position
-    # a candidate pairs a position with the next one of the same node
-    inner = np.ones(width - 1, dtype=bool)
-    inner[(start + size - 1)[:-1]] = False
+    m, positives = size.size, pos.sum()
+    start, pos_before = np.cumsum(size) - size, np.cumsum(pos) - pos
     size_f, pos_f = size.astype(np.float64), pos.astype(np.float64)
     parent = _impurity_arrays(pos_f, size_f, criterion)
-    pos_before = np.cumsum(pos) - pos  # positives laid out before each node
     feature = np.full(m, -1, dtype=np.intp)
     best, threshold = np.full(m, -np.inf), np.zeros(m)
-    left_size, left_pos = np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
-    block = max(1, _BLOCK_ELEMENTS // width)
-    for first in range(0, k, block):
-        block_values = values[first:first + block]
-        # a candidate needs two distinct neighbours; the midpoint guards cover
-        # float collapse onto a neighbour for extreme adjacent values
-        candidates = np.flatnonzero((block_values[:, 1:] > block_values[:, :-1]) & inner)
-        column, at = np.divmod(candidates, width - 1)
-        flat = candidates + column  # the same place in the raveled block
-        lo, hi = block_values.ravel()[flat], block_values.ravel()[flat + 1]
-        with np.errstate(over="ignore"):  # an infinite midpoint fails the guard below
-            thresholds = 0.5 * (lo + hi)
+    left_size, left_pos, cut = (np.zeros(m, dtype=np.int64) for _ in range(3))
+    for f, j in enumerate(columns):
+        d = values[j].size
+        if d == 1:  # constant on the training set: no candidate anywhere
+            continue
+        # the (node, rank) cell of each row; the present cells in order, with
+        # their rows and positives
+        key = node * d + ranks[j][rows]
+        if m * d <= _DENSE_CELLS_PER_ROW * key.size:
+            count = np.bincount(key, minlength=m * d)
+            cell = np.flatnonzero(count)
+            count, cell_pos = count[cell], np.bincount(key[:positives], minlength=m * d)[cell]
+        else:
+            cell, count = np.unique(key, return_counts=True)
+            positive_cell, positive_count = np.unique(key[:positives], return_counts=True)
+            cell_pos = np.zeros(cell.size, dtype=np.int64)
+            cell_pos[np.searchsorted(cell, positive_cell)] = positive_count
+        at, rank = np.divmod(cell, d)
+        # a candidate pairs a present rank with the next one of the same node;
+        # the midpoint guards cover float collapse onto a neighbour for
+        # extreme adjacent values
+        candidates = np.flatnonzero(at[1:] == at[:-1])
+        lo, hi = values[j][rank[candidates]], values[j][rank[candidates + 1]]
+        thresholds = 0.5 * (lo + hi)  # may overflow (see fit): inf fails the guard below
         valid = (thresholds >= lo) & (thresholds < hi)
-        column, at, flat, thresholds = column[valid], at[valid], flat[valid], thresholds[valid]
-        node = node_at[at]
-        cumulative = np.cumsum(labels[first:first + block].ravel(), dtype=np.int32)
-        cand_pos = cumulative[flat] - column * pos.sum() - pos_before[node]
-        cand_size = at - start[node] + 1
-        lp, ln, n = cand_pos.astype(np.float64), cand_size.astype(np.float64), size_f[node]
-        rn, rp = n - ln, pos_f[node] - lp
+        candidates, thresholds, at = candidates[valid], thresholds[valid], at[candidates[valid]]
+        if not candidates.size:
+            continue
+        cand_size = np.cumsum(count)[candidates] - start[at]
+        cand_pos = np.cumsum(cell_pos)[candidates] - pos_before[at]
+        lp, ln, n = cand_pos.astype(np.float64), cand_size.astype(np.float64), size_f[at]
+        rn, rp = n - ln, pos_f[at] - lp
         children = (
             ln * _impurity_arrays(lp, ln, criterion) + rn * _impurity_arrays(rp, rn, criterion)
         ) / n
-        gains = parent[node] - children
-        top = np.full(m, -np.inf)
-        np.maximum.at(top, node, gains)
-        # candidates are in column-major order, so a node's first one at its
-        # maximum has the lowest feature index, then the lowest threshold
-        hits = np.flatnonzero(gains == top[node])
-        won, first_hit = np.unique(node[hits], return_index=True)
-        chosen = hits[first_hit]
-        # strictly better only: on a tie the lower columns of earlier blocks win
-        better = top[won] > best[won]
-        won, chosen = won[better], chosen[better]
-        best[won] = top[won]
-        feature[won] = first + column[chosen]
-        threshold[won] = thresholds[chosen]
-        left_size[won] = cand_size[chosen]
-        left_pos[won] = cand_pos[chosen]
-    return feature, threshold, best, left_size, left_pos
+        gains = parent[at] - children
+        # candidates run node by node, each node's by threshold, so the first
+        # one at its node's maximum has the lowest threshold
+        first = np.flatnonzero(np.concatenate(([True], at[1:] != at[:-1])))
+        top = np.maximum.reduceat(gains, first)
+        hits = np.flatnonzero(gains == np.repeat(top, np.diff(np.append(first, at.size))))
+        chosen = hits[np.searchsorted(hits, first)]
+        better = top > best[at[first]]  # strictly: on a tie the lower column wins
+        won, chosen = at[chosen[better]], chosen[better]
+        best[won], feature[won], threshold[won] = top[better], f, thresholds[chosen]
+        left_size[won], left_pos[won] = cand_size[chosen], cand_pos[chosen]
+        cut[won] = rank[candidates[chosen]]
+    return feature, threshold, best, left_size, left_pos, cut
 
 
 def best_split(features, targets, criterion: str) -> Split | None:
@@ -170,18 +177,16 @@ def best_split(features, targets, criterion: str) -> Split | None:
     Returns None when the node is already pure or when no feature has two
     distinct values. A zero-decrease split on an impure node is still
     returned: separable structure may only appear deeper down. This is the
-    level search of ``fit`` run on one node.
+    root split of ``fit``.
     """
-    y = np.asarray(targets, dtype=bool)
-    total_pos = int(np.count_nonzero(y))
-    if total_pos in (0, y.size):
+    X = np.asarray(features, dtype=np.float64)
+    data = BinaryLabeledDataset(X, np.asarray(targets, dtype=bool), ("",) * X.shape[1],
+                                frozenset())
+    tree = fit(data, TreeConfig(criterion, max_depth=1))
+    if tree.feature[0] < 0:
         return None
-    rows, values = sorted_columns(np.asarray(features, dtype=np.float64))
-    feature, threshold, decrease, _, _ = _level_splits(
-        values, y[rows], np.array([y.size]), np.array([total_pos]), criterion)
-    if feature[0] < 0:
-        return None
-    return Split(int(feature[0]), float(threshold[0]), float(decrease[0]))
+    return Split(int(tree.feature[0]), float(tree.threshold[0]),
+                 float(tree.impurity_decrease[0]))
 
 
 def fit(train: BinaryLabeledDataset, config: TreeConfig | None = None,
@@ -189,11 +194,11 @@ def fit(train: BinaryLabeledDataset, config: TreeConfig | None = None,
     """Grow a tree on some columns of the training set, a level at a time.
 
     ``columns`` are positions in ``train.features`` (all of them when None);
-    the tree's feature indices count within them. Their values come out of
-    the cached sort of the whole matrix, so no projected copy is built. A
-    node becomes a leaf when it is pure, has no candidate split, holds fewer
-    than ``min_split_samples`` samples or is at ``max_depth``. Same inputs
-    always give an identical tree.
+    the tree's feature indices count within them. They are read out of the
+    training set's rank table (``train.ranks``, made by the first fit on the
+    matrix), so no projected copy is built. A node becomes a leaf when it is
+    pure, has no candidate split, holds fewer than ``min_split_samples``
+    samples or is at ``max_depth``. Same inputs always give an identical tree.
     """
     config = config or TreeConfig()
     X = np.asarray(train.features, dtype=np.float64)
@@ -205,9 +210,9 @@ def fit(train: BinaryLabeledDataset, config: TreeConfig | None = None,
         raise ValueError("training data must contain at least one feature column")
     if X.shape[0] != y.size:
         raise ValueError("feature matrix and targets differ in length")
-    rows, values = _sorted_projection(X, columns)
-    labels = y[rows]
-    k, n = rows.shape
+    ranks, values = train.ranks.of(X)
+    column_of = np.asarray(columns)
+    n = y.size
 
     def is_open(size: np.ndarray, pos: np.ndarray, depth: int) -> np.ndarray:
         deep = config.max_depth is not None and depth >= config.max_depth
@@ -217,40 +222,42 @@ def fit(train: BinaryLabeledDataset, config: TreeConfig | None = None,
     made = [(np.array([0]), np.array([n]), np.array([np.count_nonzero(y)]))]
     splits = []
     ids, size, pos = (a[is_open(made[0][1], made[0][2], 0)] for a in made[0])
+    # the open nodes' rows, positives first, and the open node of each
+    rows = np.concatenate((np.flatnonzero(y), np.flatnonzero(~y)))
+    node = np.zeros(n, dtype=np.intp)
     depth = 0
     while ids.size:
-        feature, threshold, decrease, left_size, left_pos = _level_splits(
-            values, labels, size, pos, config.criterion)
+        with np.errstate(over="ignore"):  # an overflowing midpoint is no candidate
+            feature, threshold, decrease, left_size, left_pos, cut = _level_splits(
+                ranks, values, columns, rows, node, size, pos, config.criterion)
         split = feature >= 0
         if not split.any():
             break
         # children are numbered breadth-first: by parent id, left before right
         parents = ids[split]
-        rank = np.empty(parents.size, dtype=np.intp)
-        rank[np.argsort(parents)] = np.arange(parents.size)
-        left_id = sum(node.size for node, _, _ in made) + 2 * rank
+        order = np.empty(parents.size, dtype=np.intp)
+        order[np.argsort(parents)] = np.arange(parents.size)
+        left_id = sum(made_ids.size for made_ids, _, _ in made) + 2 * order
         splits.append((parents, feature[split], threshold[split], decrease[split],
                        left_id, left_id + 1))
         depth += 1
         ls, lp = left_size[split], left_pos[split]
         rs, rp = size[split] - ls, pos[split] - lp
         made.append((np.r_[left_id, left_id + 1], np.r_[ls, rs], np.r_[lp, rp]))
-        left_open, right_open = is_open(ls, lp, depth), is_open(rs, rp, depth)
-        if not (left_open.any() or right_open.any()):
+        # the next level's nodes are the open children, each left before its right
+        child_open = np.c_[is_open(ls, lp, depth), is_open(rs, rp, depth)].ravel()
+        if not child_open.any():
             break
-        # side of each row of the level: 1 to an open left child, 2 to an open
-        # right child, else 0; the split column's order tells which rows go left
-        moved = np.flatnonzero(np.repeat(split, size))
-        which = np.repeat(np.arange(parents.size), size[split])
-        go_left = moved - (np.cumsum(size) - size)[split][which] < ls[which]
-        side = np.zeros(n, dtype=np.int8)
-        side[rows[feature[split][which], moved]] = np.where(
-            go_left, left_open[which], 2 * right_open[which])
-        rows, values, labels = _partition(
-            (rows, values, labels), side, ls[left_open].sum(), rs[right_open].sum())
-        ids = np.r_[left_id[left_open], left_id[right_open] + 1]
-        size = np.r_[ls[left_open], rs[right_open]]
-        pos = np.r_[lp[left_open], rp[right_open]]
+        child = np.full(2 * ids.size, -1, dtype=np.intp)  # by (node, side)
+        child[np.repeat(split, 2)] = np.where(child_open, np.cumsum(child_open) - 1, -1)
+        # a row goes right when its rank in the split column is above the cut;
+        # rows of a node without a split read any column and drop out
+        right = ranks[column_of[feature[node]], rows] > cut[node]
+        node = child[2 * node + right]
+        rows, node = rows[node >= 0], node[node >= 0]
+        ids = np.c_[left_id, left_id + 1].ravel()[child_open]
+        size = np.c_[ls, rs].ravel()[child_open]
+        pos = np.c_[lp, rp].ravel()[child_open]
 
     node, node_size, node_pos = map(np.concatenate, zip(*made))
     counts = np.empty((node.size, 2), dtype=np.int64)
@@ -261,24 +268,8 @@ def fit(train: BinaryLabeledDataset, config: TreeConfig | None = None,
         parent, *arrays = map(np.concatenate, zip(*splits))
         feature[parent], threshold[parent], decrease[parent], left[parent], right[parent] = arrays
     return DecisionTree(feature, threshold, decrease, left, right, counts,
-                        counts[:, 1] > counts[:, 0], config, k, depth,
+                        counts[:, 1] > counts[:, 0], config, len(columns), depth,
                         tuple(train.feature_names[i] for i in columns))
-
-
-def _partition(layout, side: np.ndarray, width_left: int, width_right: int):
-    """The next level's layout: in each column, the places whose row has
-    ``side`` 1 (open left children), then those with ``side`` 2, in order."""
-    rows = layout[0]
-    out = tuple(np.empty((len(rows), width_left + width_right), dtype=a.dtype) for a in layout)
-    block = max(1, _BLOCK_ELEMENTS // rows.shape[1])
-    for first in range(0, len(rows), block):
-        at_side = side[rows[first:first + block]]
-        b = at_side.shape[0]
-        order = np.concatenate((np.flatnonzero(at_side == 1).reshape(b, width_left),
-                                np.flatnonzero(at_side == 2).reshape(b, width_right)), axis=1)
-        for a, o in zip(layout, out):
-            np.take(a[first:first + b].ravel(), order, out=o[first:first + b], mode="clip")
-    return out
 
 
 def predict_batch(tree: DecisionTree, features) -> np.ndarray:

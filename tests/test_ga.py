@@ -397,6 +397,38 @@ def test_memo_serves_leaf_trees_but_never_the_empty_mask(tiny_sets):
     assert (best.selected_count, best.fitness, best.cm, best.used_features) == (0, 1.0, None, None)
 
 
+def test_memo_keeps_only_the_largest_mask_of_a_group(tiny_sets):
+    train, test = tiny_sets
+    small = FeatureMask.from_indices([0, 5])
+    large = FeatureMask.from_indices([0, 1, 2, 5])
+    fitted_small, fitted_large = (compute_fitness(m, train, test) for m in (small, large))
+    assert fitted_small.used_features == fitted_large.used_features  # one group
+    memo = FitnessMemo()
+    memo.add(fitted_small)
+    memo.add(fitted_large)
+    memo.add(fitted_small)  # a larger entry already serves it
+    assert [list(group) for group in memo._groups.values()] == [[large.bitmask]]
+    served = memo.lookup(small)
+    for name in ("fitness", "cm", "mask", "selected_count", "metrics", "used_features"):
+        assert getattr(served, name) == getattr(fitted_small, name), name
+    assert memo.lookup(large) is fitted_large
+    assert (memo.exact_hits, memo.memo_hits) == (1, 1)
+    # the empty mask shares its group with leaf trees but is never merged into them
+    empty = compute_fitness(FeatureMask((False,) * N_FEATURES), train, test)
+    leaf = compute_fitness(FeatureMask.from_indices([1, 2, 3]), train, test)
+    for order in ((empty, leaf), (leaf, empty)):
+        memo = FitnessMemo()
+        for individual in order:
+            memo.add(individual)
+        assert memo.lookup(empty.mask) is empty and memo.lookup(leaf.mask) is leaf
+
+
+def test_mask_bitmask_sets_bit_i_for_gene_i():
+    assert FeatureMask.from_indices([]).bitmask == 0
+    assert FeatureMask.from_indices([0, 3, 40]).bitmask == (1 << 0) | (1 << 3) | (1 << 40)
+    assert FeatureMask.all_on().bitmask == (1 << N_FEATURES) - 1
+
+
 def test_memo_lives_for_one_run(synth_flood, synth_burst):
     cfg = GAConfig(seed=3, population_size=10, generations=4, early_stop_fitness=-1.0)
     first = run(cfg, *synth_burst)

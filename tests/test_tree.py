@@ -1,5 +1,7 @@
 import contextlib
+import gc
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from gafs import ga, nslkdd, tree as tree_module
 from gafs.ga import compute_fitness
 from gafs.nslkdd import (
-    BinaryLabeledDataset, FeatureMask, mask_columns, project, relabel, sorted_columns,
+    BinaryLabeledDataset, FeatureMask, mask_columns, project, rank_columns, relabel,
 )
 from gafs.tree import TreeConfig, best_split, fit, impurity, predict_batch
 
@@ -332,9 +334,10 @@ def test_fit_matches_pernode_reference_on_tied_matrices(
     rows, y = instance
     config = TreeConfig(criterion, max_depth, min_split_samples)
     assert_same_tree(binary(rows, y), config)
-    # one column per block: ties across blocks must still go to the lowest column
-    with mock.patch.object(tree_module, "_BLOCK_ELEMENTS", 1):
-        assert_same_tree(binary(rows, y), config)
+    # every histogram from a sort, then every one a dense table
+    for bound in (0, np.inf):
+        with mock.patch.object(tree_module, "_DENSE_CELLS_PER_ROW", bound):
+            assert_same_tree(binary(rows, y), config)
 
 
 # huge values whose midpoint overflows, subnormals, signed zeros, and adjacent
@@ -371,12 +374,60 @@ def test_fit_matches_pernode_reference_on_every_extreme_value():
         assert_same_tree(binary(X, y), config, extreme=True)
 
 
+# the bound on dense histogram cells per row: 1 mixes both paths on the
+# synthetic set, 64 and 4096 take nearly every histogram from a dense table
 @pytest.mark.parametrize("block", [1, 64, 4096])
 def test_fit_in_column_blocks_matches_pernode_reference(synth_burst, monkeypatch, block):
     train, _ = synth_burst
-    monkeypatch.setattr(tree_module, "_BLOCK_ELEMENTS", block)
+    monkeypatch.setattr(tree_module, "_DENSE_CELLS_PER_ROW", block)
     for config in config_variants():
         assert_same_tree(train, config)
+
+
+@pytest.mark.parametrize("bound", [0, np.inf], ids=["sorted", "dense"])
+@pytest.mark.parametrize("target", ["flood", "burst"])
+def test_each_histogram_path_alone_matches_pernode_reference(request, monkeypatch, target, bound):
+    train, _ = request.getfixturevalue(f"synth_{target}")
+    monkeypatch.setattr(tree_module, "_DENSE_CELLS_PER_ROW", bound)
+    for config in config_variants():
+        assert_same_tree(train, config)
+
+
+def test_signed_zeros_share_one_rank():
+    # -0.0 and 0.0 are one value: no split between them, and rows of both
+    # go left of a threshold next to zero
+    x = np.array([-1.0, -0.0, 0.0, -0.0, 0.0, 2.0, -1.0, 0.0, 2.0, -0.0])
+    y = np.array([True, False, True, True, False, True, False, False, True, True])
+    X = np.column_stack([x, np.zeros_like(x), -x])
+    for config in config_variants():
+        tree = assert_same_tree(binary(X, y), config)
+        assert set(tree.threshold[tree.feature >= 0]) <= {-0.5, 1.0}
+    ranks, values = rank_columns(X)
+    assert np.array_equal(values[0], [-1.0, 0.0, 2.0])
+    assert np.array_equal(ranks[0] == 1, x == 0.0)
+
+
+def test_constant_columns_alone_give_one_leaf(synth_burst):
+    train, _ = synth_burst
+    constant = [j for j in range(train.features.shape[1])
+                if np.ptp(train.features[:, j]) == 0.0]
+    assert len(constant) >= 2
+    for config in config_variants():
+        tree = fit(train, config, constant)
+        assert tree.node_count == 1 and tree.depth == 0
+        assert_same_tree(project(train, FeatureMask.from_indices(constant)), config)
+
+
+def test_constant_columns_before_the_winning_column():
+    rng = np.random.default_rng(5)
+    signal = rng.integers(0, 8, 60).astype(float)
+    y = (signal >= 4) ^ (rng.random(60) < 0.2)
+    X = np.column_stack([np.full(60, 3.0), np.zeros(60), signal, np.full(60, -1.0),
+                         rng.integers(0, 3, 60).astype(float)])
+    for config in config_variants():
+        tree = assert_same_tree(binary(X, y), config)
+        assert tree.feature[0] in (2, 4)
+        assert not np.isin(tree.feature, [0, 1, 3]).any()
 
 
 def test_predict_batch_agrees_with_predict_on_deep_trees(synth_burst):
@@ -386,67 +437,64 @@ def test_predict_batch_agrees_with_predict_on_deep_trees(synth_burst):
     assert list(predict_batch(tree, test.features)) == [predict(tree, r) for r in test.features]
 
 
-# ------------------------------------------------------ the shared column sort
+# ------------------------------------------------------ the shared rank table
 
 
-def test_relabels_and_masks_of_one_matrix_share_one_sort(synth_encoded, monkeypatch):
+def test_relabels_and_masks_of_one_matrix_share_one_rank_table(synth_encoded, monkeypatch):
     train, test, _ = synth_encoded
     fresh = nslkdd.Dataset(train.features.copy(), train.labels)
-    sorted_matrices = []
-    real = nslkdd.sorted_columns
-    monkeypatch.setattr(
-        nslkdd, "sorted_columns", lambda m: sorted_matrices.append(id(m)) or real(m))
+    ranked = []
+    real = nslkdd.rank_columns
+    monkeypatch.setattr(nslkdd, "rank_columns", lambda m: ranked.append(id(m)) or real(m))
     for target in ("flood", "burst"):
         for names in (["count"], ["count", "src_bytes", "service"], ["duration"]):
             compute_fitness(FeatureMask.from_names(names),
                             relabel(fresh, {target}), relabel(test, {target}))
-    # one sort of the training matrix; the test matrix is never sorted
-    assert sorted_matrices == [id(fresh.features)]
-    cached = nslkdd._SORTED[id(fresh.features)]
-    flood = relabel(fresh, {"flood"})
-    count = mask_columns(flood, FeatureMask.from_names(["count"]))
-    nslkdd._sorted_projection(flood.features, count)
-    assert nslkdd._SORTED[id(fresh.features)] is cached
-    # the cached sort goes with its matrix
-    key = id(fresh.features)
-    del cached, fresh, flood
-    assert key not in nslkdd._SORTED
+    # one ranking of the training matrix; the test matrix is never ranked
+    assert ranked == [id(fresh.features)]
+    table = weakref.ref(fresh.ranks.of(fresh.features)[0])
+    # the table goes with its dataset
+    del fresh
+    gc.collect()
+    assert table() is None
 
 
-def test_projected_order_sorts_each_column(synth_flood):
+def test_ranks_reproduce_each_column_value_order(synth_flood):
     train, _ = synth_flood
-    mask = FeatureMask.from_names(["duration", "service", "src_bytes", "count"])
-    data = project(train, mask)
-    rows, values = nslkdd._sorted_projection(train.features, mask_columns(train, mask))
-    assert rows.dtype == np.int32 and rows.shape == data.features.T.shape
-    for j in range(rows.shape[0]):
-        assert np.array_equal(np.sort(rows[j]), np.arange(len(data)))
-        assert np.array_equal(values[j], data.features[rows[j], j])
-        assert (np.diff(data.features[rows[j], j]) >= 0).all()
+    ranks, values = train.ranks.of(train.features)
+    assert ranks.dtype == np.int32 and ranks.shape == train.features.T.shape
+    for j, column in enumerate(train.features.T):
+        assert (np.diff(values[j]) > 0).all()
+        assert np.array_equal(values[j][ranks[j]], column)
+        order = np.argsort(column, kind="stable")
+        assert np.array_equal(np.argsort(ranks[j], kind="stable"), order)
 
 
-def test_worker_threads_share_one_sort(synth_encoded, monkeypatch):
+def test_worker_threads_share_one_rank_table(synth_encoded, monkeypatch):
     train, _, _ = synth_encoded
-    # large enough that the sort outlasts the threads' start
+    # large enough that ranking outlasts the threads' start
     fresh = nslkdd.Dataset(np.tile(train.features, (20, 1)), train.labels * 20)
     calls = []
-    real = nslkdd.sorted_columns
-    monkeypatch.setattr(nslkdd, "sorted_columns", lambda m: calls.append(id(m)) or real(m))
+    real = nslkdd.rank_columns
+    monkeypatch.setattr(nslkdd, "rank_columns", lambda m: calls.append(id(m)) or real(m))
     masks = [FeatureMask.from_indices(range(j, j + 3)) for j in range(24)]
     burst = relabel(fresh, {"burst"})
-    projected = [project(burst, mask) for mask in masks]
+    config = TreeConfig("gini", max_depth=4)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(nslkdd._sorted_projection, burst.features,
-                                   mask_columns(burst, mask)) for mask in masks]
-            orders = [future.result(timeout=60) for future in futures]
+            futures = [pool.submit(fit, burst, config, mask_columns(burst, mask))
+                       for mask in masks]
+            trees = [future.result(timeout=60) for future in futures]
     finally:
         sys.setswitchinterval(interval)
     assert calls == [id(fresh.features)]
-    for data, (rows, _) in zip(projected, orders):
-        assert np.array_equal(rows, sorted_columns(data.features)[0])
+    for mask, tree in zip(masks, trees):
+        alone = fit(project(burst, mask), config)
+        for name in TREE_ARRAYS:
+            assert getattr(tree, name).tobytes() == getattr(alone, name).tobytes(), name
+    assert len(calls) == 1 + len(masks)  # each projection has a table of its own
 
 
 def test_compute_fitness_projects_only_the_test_set(synth_flood, monkeypatch):
