@@ -7,15 +7,13 @@ selection is merge-and-truncate over parents plus children, so the best
 individual can never get worse.
 
 Random draws for selection, crossover and mutation are made sequentially
-from one seeded stream before any evaluation is dispatched; evaluations are
-pure and gathered by index, so enabling worker threads or the fitness memo
-cannot change the outcome of a run.
+from one seeded stream before a generation is evaluated, and evaluations
+are pure, so the fitness memo cannot change the outcome of a run.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -161,41 +159,29 @@ class FitnessMemo:
         group[x] = individual
 
 
-@dataclass
-class _Evaluator:
-    """Evaluates mask batches, optionally memoized and threaded.
+def _evaluate(
+    masks: list[FeatureMask],
+    train: BinaryLabeledDataset,
+    test: BinaryLabeledDataset,
+    criterion: str,
+    memo: FitnessMemo | None,
+) -> list[EvaluatedIndividual]:
+    """Evaluate a batch of masks, in input order.
 
-    Results are returned in input order, and a batch is looked up only in the
-    memo of earlier batches, before any evaluation is dispatched, so neither
-    the memo nor the thread pool can perturb a run.
+    With a memo, the whole batch is looked up in the memo of earlier batches
+    before anything is fitted; each miss is then fitted once, in order, and a
+    repeat of a miss within the batch counts as an exact hit.
     """
-
-    train: BinaryLabeledDataset
-    test: BinaryLabeledDataset
-    criterion: str
-    memo: FitnessMemo | None
-    workers: int
-
-    def _evaluate_one(self, mask: FeatureMask) -> EvaluatedIndividual:
-        return compute_fitness(mask, self.train, self.test, self.criterion)
-
-    def __call__(self, masks: list[FeatureMask]) -> list[EvaluatedIndividual]:
-        if self.memo is None:
-            return self._evaluate_batch(masks)
-        served = [self.memo.lookup(m) for m in masks]
-        # dedupe while preserving order; repeated masks are common late in a run
-        missing = list(dict.fromkeys(m for m, s in zip(masks, served) if s is None))
-        fitted = dict(zip(missing, self._evaluate_batch(missing)))
-        self.memo.exact_hits += sum(s is None for s in served) - len(missing)
-        for individual in fitted.values():
-            self.memo.add(individual)
-        return [fitted[m] if s is None else s for m, s in zip(masks, served)]
-
-    def _evaluate_batch(self, masks: list[FeatureMask]) -> list[EvaluatedIndividual]:
-        if self.workers <= 1 or len(masks) <= 1:
-            return [self._evaluate_one(m) for m in masks]
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            return list(pool.map(self._evaluate_one, masks))
+    if memo is None:
+        return [compute_fitness(m, train, test, criterion) for m in masks]
+    served = [memo.lookup(m) for m in masks]
+    # dedupe while preserving order; repeated masks are common late in a run
+    missing = list(dict.fromkeys(m for m, s in zip(masks, served) if s is None))
+    fitted = {m: compute_fitness(m, train, test, criterion) for m in missing}
+    memo.exact_hits += sum(s is None for s in served) - len(missing)
+    for individual in fitted.values():
+        memo.add(individual)
+    return [fitted[m] if s is None else s for m, s in zip(masks, served)]
 
 
 def _random_mask(rng: np.random.Generator, candidates: FeatureMask | None) -> FeatureMask:
@@ -214,7 +200,6 @@ def init_population(
     test: BinaryLabeledDataset,
     *,
     cache: FitnessMemo | None = None,
-    workers: int = 1,
 ) -> Population:
     """Draw, evaluate and sort the seeded initial population.
 
@@ -223,8 +208,7 @@ def init_population(
     """
     rng = np.random.default_rng(cfg.seed)
     masks = [_random_mask(rng, cfg.candidate_features) for _ in range(cfg.population_size)]
-    evaluator = _Evaluator(train, test, cfg.criterion, cache, workers)
-    individuals = sorted(evaluator(masks), key=ranking_key)
+    individuals = sorted(_evaluate(masks, train, test, cfg.criterion, cache), key=ranking_key)
     return Population(individuals=individuals, generation=0, rng=rng)
 
 
@@ -271,7 +255,6 @@ def evolve(
     test: BinaryLabeledDataset,
     *,
     cache: FitnessMemo | None = None,
-    workers: int = 1,
 ) -> Population:
     """One generation: breed population_size children, merge, sort, truncate."""
     rng = pop.rng
@@ -285,8 +268,7 @@ def evolve(
                 child = child.constrain(cfg.candidate_features)
             child_masks.append(child)
     child_masks = child_masks[: cfg.population_size]
-    evaluator = _Evaluator(train, test, cfg.criterion, cache, workers)
-    children = evaluator(child_masks)
+    children = _evaluate(child_masks, train, test, cfg.criterion, cache)
     merged = sorted(pop.individuals + children, key=ranking_key)
     return Population(
         individuals=merged[: cfg.population_size],
@@ -300,7 +282,6 @@ def run(
     train: BinaryLabeledDataset,
     test: BinaryLabeledDataset,
     *,
-    workers: int = 1,
     use_cache: bool = True,
     trace: Tracer | None = None,
 ) -> GAResult:
@@ -311,12 +292,12 @@ def run(
     the initial population plus one per completed generation.
     """
     memo = FitnessMemo() if use_cache else None
-    pop = init_population(cfg, train, test, cache=memo, workers=workers)
+    pop = init_population(cfg, train, test, cache=memo)
     history = [pop.individuals[0].fitness]
     if trace is not None:
         trace(0, pop.individuals[0])
     while pop.individuals[0].fitness > cfg.early_stop_fitness and pop.generation < cfg.generations:
-        pop = evolve(pop, cfg, train, test, cache=memo, workers=workers)
+        pop = evolve(pop, cfg, train, test, cache=memo)
         history.append(pop.individuals[0].fitness)
         if trace is not None:
             trace(pop.generation, pop.individuals[0])

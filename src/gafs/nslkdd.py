@@ -105,12 +105,11 @@ class FeatureMask:
 
     @classmethod
     def from_names(cls, names) -> "FeatureMask":
-        unknown = [n for n in names if n not in FEATURE_NAMES]
-        if unknown:
-            raise ValueError(
-                f"unknown feature name(s) {unknown}; valid names: {', '.join(FEATURE_NAMES)}"
-            )
         wanted = set(names)
+        unknown = sorted(wanted.difference(FEATURE_NAMES))
+        if unknown:
+            raise ValueError(f"unknown feature name(s) {', '.join(unknown)}; "
+                             f"valid names: {', '.join(FEATURE_NAMES)}")
         return cls(tuple(name in wanted for name in FEATURE_NAMES))
 
     @classmethod

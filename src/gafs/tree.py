@@ -233,11 +233,10 @@ def fit(train: BinaryLabeledDataset, config: TreeConfig | None = None,
         split = feature >= 0
         if not split.any():
             break
-        # children are numbered breadth-first: by parent id, left before right
+        # children are numbered breadth-first: by parent id, left before right;
+        # a level's ids ascend, so the parents are already in id order
         parents = ids[split]
-        order = np.empty(parents.size, dtype=np.intp)
-        order[np.argsort(parents)] = np.arange(parents.size)
-        left_id = sum(made_ids.size for made_ids, _, _ in made) + 2 * order
+        left_id = sum(made_ids.size for made_ids, _, _ in made) + 2 * np.arange(parents.size)
         splits.append((parents, feature[split], threshold[split], decrease[split],
                        left_id, left_id + 1))
         depth += 1

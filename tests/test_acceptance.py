@@ -133,7 +133,7 @@ def test_criterion_3_ga_convergence(real_binary):
         seed=2016, criterion="entropy", population_size=30, generations=20,
         early_stop_fitness=-1.0,
     )
-    land = run(land_cfg, train, test, workers=4)
+    land = run(land_cfg, train, test)
     land_ok = land.best.fitness == 0.0 and land.best.selected_count <= 3
 
     train, test = real_binary({"smurf"})
@@ -141,7 +141,7 @@ def test_criterion_3_ga_convergence(real_binary):
         seed=2016, criterion="entropy", population_size=30, generations=20,
         early_stop_fitness=0.005,
     )
-    smurf = run(smurf_cfg, train, test, workers=4)
+    smurf = run(smurf_cfg, train, test)
     smurf_ok = smurf.best.fitness <= 0.005
 
     gate(
@@ -240,15 +240,14 @@ def test_criterion_5_property_suites(synth_flood):
         if any(later > earlier for earlier, later in zip(history, history[1:])):
             failures.append(f"elitism violated for seed {seed}: {history}")
 
-    # bit-exact determinism with parallel evaluation on and off
+    # bit-exact determinism with the fitness memo on and off
     for seed in (3, 14):
         cfg = GAConfig(seed=seed, population_size=8, generations=3,
                        early_stop_fitness=-1.0)
-        serial = run(cfg, train41, test41, workers=1)
-        threaded = run(cfg, train41, test41, workers=4)
+        serial = run(cfg, train41, test41)
         uncached = run(cfg, train41, test41, use_cache=False)
-        if not (serial.best.mask == threaded.best.mask == uncached.best.mask
-                and serial.history == threaded.history == uncached.history):
+        if not (serial.best.mask == uncached.best.mask
+                and serial.history == uncached.history):
             failures.append(f"determinism violated for seed {seed}")
 
     # masked-out features can never affect predictions

@@ -168,6 +168,16 @@ def test_end_to_end_determinism(tmp_path, synth_files):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_serial_workers_keyword_is_accepted_and_no_other(tmp_path, synth_files):
+    cfg = ga_cfg(synth_files, seed=17)
+    emit_reports(run_experiment(cfg, workers=1), tmp_path / "a")
+    emit_reports(run_experiment(cfg), tmp_path / "b")
+    assert (tmp_path / "a" / "result.json").read_bytes() == \
+        (tmp_path / "b" / "result.json").read_bytes()
+    with pytest.raises(ValueError, match="workers"):
+        run_experiment(cfg, workers=2)
+
+
 def test_emit_handles_empty_mask_result(tmp_path, synth_files):
     # a search over a target with no test positives can legitimately end on
     # the empty mask (every mask scores fitness 1.0 and fewer genes win ties)

@@ -280,13 +280,10 @@ def test_run_cache_and_workers_do_not_change_results(tiny_sets):
     train, test = tiny_sets
     cfg = GAConfig(seed=9, population_size=12, generations=4,
                    early_stop_fitness=-1.0)
-    base = run(cfg, train, test, use_cache=True, workers=1)
-    no_cache = run(cfg, train, test, use_cache=False, workers=1)
-    threaded = run(cfg, train, test, use_cache=True, workers=4)
-    threaded_no_cache = run(cfg, train, test, use_cache=False, workers=3)
-    for other in (no_cache, threaded, threaded_no_cache):
-        assert other.best.mask == base.best.mask
-        assert other.history == base.history
+    base = run(cfg, train, test, use_cache=True)
+    no_cache = run(cfg, train, test, use_cache=False)
+    assert no_cache.best.mask == base.best.mask
+    assert no_cache.history == base.history
 
 
 def test_run_history_is_monotone_and_bounded(tiny_sets):
@@ -361,12 +358,7 @@ def test_memo_matches_uncached_runs_with_fewer_fits(request, monkeypatch, target
         fits.clear()
         memo = run(cfg, train, test, use_cache=True)
         memo_fits = len(fits)
-        threaded = run(cfg, train, test, use_cache=True, workers=2)
         assert_same_run(memo, uncached)
-        assert_same_run(threaded, uncached)
-        counts = (memo.requested, memo.exact_hits, memo.memo_hits, memo.fitted)
-        assert (threaded.requested, threaded.exact_hits,
-                threaded.memo_hits, threaded.fitted) == counts
         assert memo.requested == uncached.requested == uncached.fitted == uncached_fits
         assert memo.requested == memo.exact_hits + memo.memo_hits + memo.fitted
         assert memo.memo_hits > 0 and memo_fits == memo.fitted < uncached_fits
