@@ -34,6 +34,8 @@ DEFAULTS = {
     "seed": 0,
     "early_stop": 0.0,
 }
+# what a config file may give for a key, by the type of the key's default (never a bool)
+CONFIG_TYPES = {str: (str, "a string"), int: (int, "an integer"), float: ((int, float), "a number")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,12 +75,18 @@ def _resolve(args: argparse.Namespace) -> dict:
     settings = dict(DEFAULTS)
     if args.config:
         doc = json.loads(Path(args.config).read_text())
+        if not isinstance(doc, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
         unknown = sorted(set(doc) - set(DEFAULTS))
         if unknown:
             raise ValueError(
                 f"unknown config key(s) {', '.join(unknown)}; "
                 f"valid keys: {', '.join(sorted(DEFAULTS))}"
             )
+        for key, value in doc.items():
+            allowed, noun = CONFIG_TYPES[type(DEFAULTS[key])]
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ValueError(f"config key {key!r} must be {noun}, got {value!r}")
         settings.update(doc)
     for key in DEFAULTS:
         value = getattr(args, key)

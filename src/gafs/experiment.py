@@ -46,7 +46,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("ga", "fixed"):
             raise ValueError(f"mode must be 'ga' or 'fixed', got {self.mode!r}")
-        if self.mode == "fixed" and not self.fixed_features:
+        if self.mode == "fixed" and not any(n.strip() for n in self.fixed_features or ()):
             raise ValueError("fixed mode requires a non-empty feature list")
         if self.mode == "ga" and self.ga is None:
             raise ValueError("ga mode requires a GAConfig")
@@ -273,13 +273,6 @@ class VerificationRow:
             "detection_rate": rep.detection_rate,
             "fp_pct": 100.0 * rep.fp_rate,
             "fn_pct": 100.0 * rep.fn_rate,
-        }
-
-    def deltas(self) -> dict[str, float]:
-        computed = self.computed_pct()
-        return {
-            key: computed[key] - expected
-            for key, expected in self.case.expected_pct.items()
         }
 
 

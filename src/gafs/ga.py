@@ -123,7 +123,8 @@ class FitnessMemo:
     metrics without a fit, keeping its own mask and selected_count; X = M is
     an exact repeat. Entries are grouped by U, and a group keeps only its
     largest masks: whatever a smaller M of the group serves, a larger one
-    serves too. Masks are int bitmasks.
+    serves too. Masks are int bitmasks. Only ``lookup`` counts hits, and
+    ``add`` follows a missed lookup: no entry of the group serves the mask yet.
     """
 
     def __init__(self) -> None:
@@ -152,8 +153,6 @@ class FitnessMemo:
         group = self._groups.setdefault(0 if used is None else used.bitmask, {})
         x = individual.mask.bitmask
         if x:  # the empty mask stays apart: it has no tree
-            if any(m and not x & ~m for m in group):  # a larger mask of its batch serves it
-                return
             for m in [m for m in group if m and not m & ~x]:
                 del group[m]
         group[x] = individual
@@ -166,22 +165,21 @@ def _evaluate(
     criterion: str,
     memo: FitnessMemo | None,
 ) -> list[EvaluatedIndividual]:
-    """Evaluate a batch of masks, in input order.
+    """Evaluate a batch of masks one at a time, in input order.
 
-    With a memo, the whole batch is looked up in the memo of earlier batches
-    before anything is fitted; each miss is then fitted once, in order, and a
-    repeat of a miss within the batch counts as an exact hit.
+    Each mask is looked up in the memo first, so it can be served by any mask
+    evaluated before it, earlier in the same batch included; a miss is fitted
+    and added. Without a memo (``use_cache=False``) every mask is fitted.
     """
-    if memo is None:
-        return [compute_fitness(m, train, test, criterion) for m in masks]
-    served = [memo.lookup(m) for m in masks]
-    # dedupe while preserving order; repeated masks are common late in a run
-    missing = list(dict.fromkeys(m for m, s in zip(masks, served) if s is None))
-    fitted = {m: compute_fitness(m, train, test, criterion) for m in missing}
-    memo.exact_hits += sum(s is None for s in served) - len(missing)
-    for individual in fitted.values():
-        memo.add(individual)
-    return [fitted[m] if s is None else s for m, s in zip(masks, served)]
+    results = []
+    for mask in masks:
+        individual = memo.lookup(mask) if memo is not None else None
+        if individual is None:
+            individual = compute_fitness(mask, train, test, criterion)
+            if memo is not None:
+                memo.add(individual)
+        results.append(individual)
+    return results
 
 
 def _random_mask(rng: np.random.Generator, candidates: FeatureMask | None) -> FeatureMask:

@@ -44,6 +44,18 @@ def test_fixed_mode_requires_features(synth_files):
                          target="flood")
 
 
+def test_fixed_mode_rejects_blank_only_features(synth_files, capsys):
+    train, test = synth_files
+    for names in (("",), ("", " "), (" \t",)):
+        with pytest.raises(ValueError, match="feature list"):
+            ExperimentConfig(train_path=train, test_path=test, mode="fixed",
+                             target="flood", fixed_features=names)
+    assert run_cli("--train", train, "--test", test, "--mode", "fixed",
+                   "--attack", "flood", "--features", ",") == 1
+    captured = capsys.readouterr()
+    assert "feature list" in captured.err and "no classifier" not in captured.out
+
+
 def test_ga_mode_requires_ga_config(synth_files):
     train, test = synth_files
     with pytest.raises(ValueError, match="GAConfig"):
@@ -329,6 +341,27 @@ def test_cli_rejects_unknown_config_key(tmp_path, synth_files, capsys):
                    "--attack", "flood", "--config", config)
     assert code == 1
     assert "unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"pop": "10"}, "config key 'pop' must be an integer, got '10'"),
+    ({"pop": 10.5}, "config key 'pop' must be an integer, got 10.5"),
+    ({"seed": True}, "config key 'seed' must be an integer, got True"),
+    ({"mutation_rate": "0.1"}, "config key 'mutation_rate' must be a number, got '0.1'"),
+    ({"early_stop": False}, "config key 'early_stop' must be a number, got False"),
+    ({"criterion": 1}, "config key 'criterion' must be a string, got 1"),
+    ([1, 2], "must hold a JSON object"),
+], ids=["str-for-int", "float-for-int", "bool-for-int", "str-for-number", "bool-for-number",
+        "int-for-str", "array-document"])
+def test_cli_rejects_wrong_typed_config_values(tmp_path, synth_files, capsys, doc, message):
+    train, test = synth_files
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    code = run_cli("--train", train, "--test", test, "--mode", "ga",
+                   "--attack", "flood", "--config", config)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_cli_verify_appendix_runs_on_synth(tmp_path, synth_files, capsys):

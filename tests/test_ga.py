@@ -398,7 +398,6 @@ def test_memo_keeps_only_the_largest_mask_of_a_group(tiny_sets):
     memo = FitnessMemo()
     memo.add(fitted_small)
     memo.add(fitted_large)
-    memo.add(fitted_small)  # a larger entry already serves it
     assert [list(group) for group in memo._groups.values()] == [[large.bitmask]]
     served = memo.lookup(small)
     for name in ("fitness", "cm", "mask", "selected_count", "metrics", "used_features"):
@@ -413,6 +412,23 @@ def test_memo_keeps_only_the_largest_mask_of_a_group(tiny_sets):
         for individual in order:
             memo.add(individual)
         assert memo.lookup(empty.mask) is empty and memo.lookup(leaf.mask) is leaf
+
+
+def test_memo_serves_a_mask_fitted_earlier_in_the_same_batch(tiny_sets, monkeypatch):
+    train, test = tiny_sets
+    large = FeatureMask.from_indices([0, 1, 2, 5])
+    between = FeatureMask.from_indices([0, 1, 5])
+    used = compute_fitness(large, train, test).used_features
+    assert set(used.indices()) < set(between.indices()) < set(large.indices())
+    fits = []
+    real = ga.fit
+    monkeypatch.setattr(ga, "fit", lambda *args: fits.append(args) or real(*args))
+    memo = FitnessMemo()
+    _, served = ga._evaluate([large, between], train, test, "entropy", memo)
+    assert len(fits) == 1 and (memo.exact_hits, memo.memo_hits) == (0, 1)
+    expected = compute_fitness(between, train, test)
+    for name in ("mask", "selected_count", "fitness", "cm", "metrics"):
+        assert getattr(served, name) == getattr(expected, name), name
 
 
 def test_mask_bitmask_sets_bit_i_for_gene_i():
