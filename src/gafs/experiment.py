@@ -29,6 +29,7 @@ from .nslkdd import (
     report_alias,
 )
 from .reference import REFERENCE_CASES, ReferenceCase
+from .tree import check_criterion
 
 DOS_ALL = "dos-all"
 
@@ -44,6 +45,7 @@ class ExperimentConfig:
     ga: GAConfig | None = None
 
     def __post_init__(self) -> None:
+        check_criterion(self.criterion)
         if self.mode not in ("ga", "fixed"):
             raise ValueError(f"mode must be 'ga' or 'fixed', got {self.mode!r}")
         if self.mode == "fixed" and not any(n.strip() for n in self.fixed_features or ()):

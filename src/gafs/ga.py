@@ -21,7 +21,7 @@ import numpy as np
 
 from .metrics import ConfusionMatrix, MetricsReport, confusion, metrics, ranking_key
 from .nslkdd import N_FEATURES, BinaryLabeledDataset, FeatureMask, mask_columns, project
-from .tree import TreeConfig, fit, predict_batch
+from .tree import check_criterion, fit, predict_batch
 
 Tracer = Callable[[int, "EvaluatedIndividual"], None]
 
@@ -41,6 +41,7 @@ class GAConfig:
     candidate_features: FeatureMask | None = None
 
     def __post_init__(self) -> None:
+        check_criterion(self.criterion)
         if self.population_size < 2:
             raise ValueError("population_size must be at least 2")
         if self.generations < 1:
@@ -51,6 +52,8 @@ class GAConfig:
                 raise ValueError(f"{name} must lie in [0, 1], got {rate}")
         if self.tournament_size < 2:
             raise ValueError("tournament_size must be at least 2")
+        if not np.isfinite(self.early_stop_fitness):
+            raise ValueError(f"early_stop_fitness must be finite, got {self.early_stop_fitness}")
         if self.candidate_features is not None and self.candidate_features.selected_count == 0:
             raise ValueError("candidate_features must allow at least one gene")
 
@@ -97,7 +100,7 @@ def compute_fitness(
     """
     if mask.selected_count == 0:
         return EvaluatedIndividual(mask=mask, fitness=1.0, selected_count=0)
-    tree = fit(train, TreeConfig(criterion=criterion), mask_columns(train, mask))
+    tree = fit(train, criterion, mask_columns(train, mask))
     projected_test = project(test, mask)
     predictions = predict_batch(tree, projected_test.features)
     cm = confusion(predictions, projected_test.targets)

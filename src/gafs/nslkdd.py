@@ -208,7 +208,6 @@ class BinaryLabeledDataset:
     features: np.ndarray  # (n, k) float64
     targets: np.ndarray  # (n,) bool
     feature_names: tuple[str, ...]
-    target_spec: frozenset[str]
     # shared with the Dataset this was relabeled from; fresh for a projection
     ranks: ColumnRanks = field(default_factory=ColumnRanks, repr=False, compare=False)
 
@@ -391,7 +390,6 @@ def relabel(data: Dataset, target_attacks) -> BinaryLabeledDataset:
         features=data.features,
         targets=targets,
         feature_names=data.feature_names,
-        target_spec=wanted,
         ranks=data.ranks,
     )
 
@@ -414,5 +412,4 @@ def project(data: BinaryLabeledDataset, mask: FeatureMask) -> BinaryLabeledDatas
         features=data.features[:, keep],
         targets=data.targets,
         feature_names=tuple(data.feature_names[i] for i in keep),
-        target_spec=data.target_spec,
     )

@@ -2,7 +2,7 @@
 
 Splits are axis-aligned (``value <= threshold`` goes left), candidate
 thresholds are midpoints between consecutive distinct sorted values, and
-growth is greedy: every impure node that still has a candidate threshold is
+growth is greedy, to purity: every impure node with a candidate threshold is
 split by the largest weighted impurity decrease. Ties are broken by lowest
 feature index, then lowest threshold, so training is fully deterministic.
 
@@ -29,28 +29,6 @@ CRITERIA = ("entropy", "gini")
 _DENSE_CELLS_PER_ROW = 4
 
 
-@dataclass(frozen=True)
-class TreeConfig:
-    criterion: str = "entropy"
-    max_depth: int | None = None
-    min_split_samples: int = 2
-
-    def __post_init__(self) -> None:
-        if self.criterion not in CRITERIA:
-            raise ValueError(f"criterion must be one of {CRITERIA}, got {self.criterion!r}")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError("max_depth must be a positive integer or None")
-        if self.min_split_samples < 2:
-            raise ValueError("min_split_samples must be at least 2")
-
-
-@dataclass(frozen=True)
-class Split:
-    feature_index: int
-    threshold: float
-    impurity_decrease: float
-
-
 @dataclass
 class DecisionTree:
     """Flat arrays in breadth-first node order; node 0 is the root.
@@ -67,7 +45,7 @@ class DecisionTree:
     right: np.ndarray  # (m,) intp
     counts: np.ndarray  # (m, 2) int64
     predicted: np.ndarray  # (m,) bool
-    config: TreeConfig
+    criterion: str
     feature_count: int
     depth: int
     feature_names: tuple[str, ...] = ()
@@ -90,10 +68,15 @@ def _impurity_arrays(pos: np.ndarray, n: np.ndarray, criterion: str) -> np.ndarr
     return 1.0 - (p * p + q * q)
 
 
-def impurity(class_counts, criterion: str) -> float:
-    """Entropy or Gini impurity of a two-class count pair."""
+def check_criterion(criterion: str) -> None:
+    """Raise ValueError unless ``criterion`` is one of ``CRITERIA``."""
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
+
+
+def impurity(class_counts, criterion: str) -> float:
+    """Entropy or Gini impurity of a two-class count pair."""
+    check_criterion(criterion)
     a, b = class_counts
     if a < 0 or b < 0:
         raise ValueError("class counts must be nonnegative")
@@ -171,36 +154,18 @@ def _level_splits(ranks, values, columns, rows, node, size, pos, criterion: str)
     return feature, threshold, best, left_size, left_pos, cut
 
 
-def best_split(features, targets, criterion: str) -> Split | None:
-    """Best (feature, threshold) by weighted impurity decrease, or None.
-
-    Returns None when the node is already pure or when no feature has two
-    distinct values. A zero-decrease split on an impure node is still
-    returned: separable structure may only appear deeper down. This is the
-    root split of ``fit``.
-    """
-    X = np.asarray(features, dtype=np.float64)
-    data = BinaryLabeledDataset(X, np.asarray(targets, dtype=bool), ("",) * X.shape[1],
-                                frozenset())
-    tree = fit(data, TreeConfig(criterion, max_depth=1))
-    if tree.feature[0] < 0:
-        return None
-    return Split(int(tree.feature[0]), float(tree.threshold[0]),
-                 float(tree.impurity_decrease[0]))
-
-
-def fit(train: BinaryLabeledDataset, config: TreeConfig | None = None,
+def fit(train: BinaryLabeledDataset, criterion: str = "entropy",
         columns: list[int] | None = None) -> DecisionTree:
     """Grow a tree on some columns of the training set, a level at a time.
 
     ``columns`` are positions in ``train.features`` (all of them when None);
     the tree's feature indices count within them. They are read out of the
     training set's rank table (``train.ranks``, made by the first fit on the
-    matrix), so no projected copy is built. A node becomes a leaf when it is
-    pure, has no candidate split, holds fewer than ``min_split_samples``
-    samples or is at ``max_depth``. Same inputs always give an identical tree.
+    matrix), so no projected copy is built. The tree is always grown to
+    purity: a node becomes a leaf only when it is pure or has no candidate
+    split. Same inputs always give an identical tree.
     """
-    config = config or TreeConfig()
+    check_criterion(criterion)
     X = np.asarray(train.features, dtype=np.float64)
     y = np.asarray(train.targets, dtype=bool)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -214,14 +179,13 @@ def fit(train: BinaryLabeledDataset, config: TreeConfig | None = None,
     column_of = np.asarray(columns)
     n = y.size
 
-    def is_open(size: np.ndarray, pos: np.ndarray, depth: int) -> np.ndarray:
-        deep = config.max_depth is not None and depth >= config.max_depth
-        return (pos > 0) & (pos < size) & (size >= config.min_split_samples) & (not deep)
+    def is_open(size: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        return (pos > 0) & (pos < size)  # impure, so it holds at least two rows
 
     # per level: the nodes made (ids, sizes, positives) and the splits made
     made = [(np.array([0]), np.array([n]), np.array([np.count_nonzero(y)]))]
     splits = []
-    ids, size, pos = (a[is_open(made[0][1], made[0][2], 0)] for a in made[0])
+    ids, size, pos = (a[is_open(made[0][1], made[0][2])] for a in made[0])
     # the open nodes' rows, positives first, and the open node of each
     rows = np.concatenate((np.flatnonzero(y), np.flatnonzero(~y)))
     node = np.zeros(n, dtype=np.intp)
@@ -229,7 +193,7 @@ def fit(train: BinaryLabeledDataset, config: TreeConfig | None = None,
     while ids.size:
         with np.errstate(over="ignore"):  # an overflowing midpoint is no candidate
             feature, threshold, decrease, left_size, left_pos, cut = _level_splits(
-                ranks, values, columns, rows, node, size, pos, config.criterion)
+                ranks, values, columns, rows, node, size, pos, criterion)
         split = feature >= 0
         if not split.any():
             break
@@ -244,7 +208,7 @@ def fit(train: BinaryLabeledDataset, config: TreeConfig | None = None,
         rs, rp = size[split] - ls, pos[split] - lp
         made.append((np.r_[left_id, left_id + 1], np.r_[ls, rs], np.r_[lp, rp]))
         # the next level's nodes are the open children, each left before its right
-        child_open = np.c_[is_open(ls, lp, depth), is_open(rs, rp, depth)].ravel()
+        child_open = np.c_[is_open(ls, lp), is_open(rs, rp)].ravel()
         if not child_open.any():
             break
         child = np.full(2 * ids.size, -1, dtype=np.intp)  # by (node, side)
@@ -267,7 +231,7 @@ def fit(train: BinaryLabeledDataset, config: TreeConfig | None = None,
         parent, *arrays = map(np.concatenate, zip(*splits))
         feature[parent], threshold[parent], decrease[parent], left[parent], right[parent] = arrays
     return DecisionTree(feature, threshold, decrease, left, right, counts,
-                        counts[:, 1] > counts[:, 0], config, len(columns), depth,
+                        counts[:, 1] > counts[:, 0], criterion, len(columns), depth,
                         tuple(train.feature_names[i] for i in columns))
 
 

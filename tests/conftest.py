@@ -100,7 +100,7 @@ def tiny_binary(n=80, k=5, seed=3, noise=0.0) -> BinaryLabeledDataset:
         flip = rng.random(n) < noise
         y = y ^ flip
     names = tuple(f"f{i}" for i in range(k))
-    return BinaryLabeledDataset(X, y, names, frozenset({"attack"}))
+    return BinaryLabeledDataset(X, y, names)
 
 
 def tiny_binary41(n=80, seed=3, noise=0.1) -> BinaryLabeledDataset:
@@ -116,7 +116,7 @@ def tiny_binary41(n=80, seed=3, noise=0.1) -> BinaryLabeledDataset:
     y = X[:, 0] >= 3.0
     if noise:
         y = y ^ (rng.random(n) < noise)
-    return BinaryLabeledDataset(X, y, FEATURE_NAMES, frozenset({"attack"}))
+    return BinaryLabeledDataset(X, y, FEATURE_NAMES)
 
 
 @pytest.fixture

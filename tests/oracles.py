@@ -14,8 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from gafs.tree import TreeConfig
-
 
 def node_impurity(labels, criterion: str) -> float:
     n = len(labels)
@@ -149,7 +147,7 @@ class Split:
 @dataclass
 class PerNodeTree:
     root: TreeNode
-    config: TreeConfig
+    criterion: str
     feature_count: int
     depth: int = 0
     node_count: int = 0
@@ -220,14 +218,12 @@ def pernode_best_split(features, targets, criterion: str) -> Split | None:
     )
 
 
-def pernode_fit(train, config: TreeConfig | None = None) -> "PerNodeTree":
+def pernode_fit(train, criterion: str = "entropy") -> "PerNodeTree":
     """Grow a tree on the (already projected) training set.
 
-    A node becomes a leaf when it is pure, when no candidate split exists,
-    when it holds fewer than ``min_split_samples`` samples, or at
-    ``max_depth``. Same inputs always give a structurally identical tree.
+    A node becomes a leaf when it is pure or when no candidate split exists.
+    Same inputs always give a structurally identical tree.
     """
-    config = config or TreeConfig()
     X = np.ascontiguousarray(train.features, dtype=np.float64)
     y = np.asarray(train.targets, dtype=bool)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -256,11 +252,7 @@ def pernode_fit(train, config: TreeConfig | None = None) -> "PerNodeTree":
         pos = node.class_counts[1]
         if pos in (0, yn.size):
             continue
-        if config.max_depth is not None and depth >= config.max_depth:
-            continue
-        if yn.size < config.min_split_samples:
-            continue
-        split = pernode_best_split(Xn, yn, config.criterion)
+        split = pernode_best_split(Xn, yn, criterion)
         if split is None:
             continue
         go_left = Xn[:, split.feature_index] <= split.threshold
@@ -276,7 +268,7 @@ def pernode_fit(train, config: TreeConfig | None = None) -> "PerNodeTree":
 
     return PerNodeTree(
         root=root,
-        config=config,
+        criterion=criterion,
         feature_count=X.shape[1],
         depth=max_depth_seen,
         node_count=node_count,

@@ -22,7 +22,7 @@ from gafs.nslkdd import (
     project,
     relabel,
 )
-from gafs.tree import TreeConfig, best_split, fit, impurity, predict_batch
+from gafs.tree import fit, impurity, predict_batch
 
 from conftest import tiny_binary41
 from oracles import brute_force_splits
@@ -253,15 +253,13 @@ def test_criterion_5_property_suites(synth_flood):
     # masked-out features can never affect predictions
     train_f, test_f = synth_flood
     mask = FeatureMask.from_names(["protocol_type", "wrong_fragment", "count"])
-    tree = fit(project(train_f, mask), TreeConfig("entropy"))
+    tree = fit(project(train_f, mask), "entropy")
     baseline = predict_batch(tree, project(test_f, mask).features)
     masked_out = [i for i, g in enumerate(mask.genes) if not g]
     for trial in range(5):
         noisy = test_f.features.copy()
         noisy[:, masked_out] = rng.random((len(test_f), len(masked_out))) * 1e9
-        perturbed = BinaryLabeledDataset(
-            noisy, test_f.targets, test_f.feature_names, test_f.target_spec
-        )
+        perturbed = BinaryLabeledDataset(noisy, test_f.targets, test_f.feature_names)
         if not np.array_equal(
             predict_batch(tree, project(perturbed, mask).features), baseline
         ):
@@ -274,25 +272,26 @@ def test_criterion_5_property_suites(synth_flood):
         X = rng.integers(0, 4, size=(n, k)).astype(float)
         y = [bool(v) for v in rng.integers(0, 2, size=n)]
         criterion = "entropy" if trial % 2 else "gini"
-        chosen = best_split(X, y, criterion)
+        tree = fit(BinaryLabeledDataset(X, np.array(y), ("",) * k), criterion)
+        feature, threshold = tree.feature[0], tree.threshold[0]
         oracle = brute_force_splits(X, y, criterion)
         pos = sum(y)
         if pos in (0, n) or not oracle:
-            if chosen is not None:
+            if feature != -1:
                 failures.append(f"split expected None on trial {trial}")
             continue
         best_decrease = max(d for _, _, d in oracle)
-        if chosen is None:
+        if feature == -1:
             failures.append(f"missing split on trial {trial}")
             continue
-        if abs(chosen.impurity_decrease - best_decrease) > 1e-9:
+        if abs(tree.impurity_decrease[0] - best_decrease) > 1e-9:
             failures.append(f"suboptimal split on trial {trial}")
             continue
         optimal = [
             (f, t) for f, t, d in oracle if d >= best_decrease - 1e-9
         ]
         if not any(
-            chosen.feature_index == f and abs(chosen.threshold - t) <= 1e-12
+            feature == f and abs(threshold - t) <= 1e-12
             for f, t in optimal
         ):
             failures.append(f"split not in optimal set on trial {trial}")

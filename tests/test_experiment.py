@@ -364,6 +364,43 @@ def test_cli_rejects_wrong_typed_config_values(tmp_path, synth_files, capsys, do
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_cli_rejects_non_finite_early_stop(tmp_path, synth_files, capsys, source, value):
+    # fitness > nan is never true, so a NaN threshold would end the search
+    # after generation 0; result.json would then hold a non-JSON token
+    train, test = synth_files
+    args = ["--train", train, "--test", test, "--mode", "ga", "--attack", "flood",
+            "--pop", 6, "--generations", 3, "--out", tmp_path / "out"]
+    if source == "flag":
+        args.append(f"--early-stop={value}")
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"early_stop": float(value)}))  # NaN, Infinity
+        args += ["--config", config]
+    assert run_cli(*args) == 1
+    assert capsys.readouterr().err.startswith("error: early_stop_fitness must be finite")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mode", ["ga", "fixed"])
+def test_unknown_criterion_rejected_before_any_file_is_read(tmp_path, capsys, mode):
+    absent = tmp_path / "absent.txt"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"criterion": "variance"}))
+    features = ["--features", "land"] if mode == "fixed" else []
+    code = run_cli("--train", absent, "--test", absent, "--mode", mode,
+                   "--attack", "land", "--config", config, *features)
+    assert code == 1
+    message = "criterion must be one of ('entropy', 'gini'), got 'variance'"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    with pytest.raises(ValueError, match="got 'variance'"):
+        GAConfig(seed=0, criterion="variance")
+    with pytest.raises(ValueError, match="got 'variance'"):
+        ExperimentConfig(train_path=absent, test_path=absent, mode="fixed", target="land",
+                         criterion="variance", fixed_features=("land",))
+
+
 def test_cli_verify_appendix_runs_on_synth(tmp_path, synth_files, capsys):
     train, test = synth_files
     code = run_cli("--train", train, "--test", test, "--verify-appendix",

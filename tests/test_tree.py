@@ -15,7 +15,7 @@ from gafs.ga import compute_fitness
 from gafs.nslkdd import (
     BinaryLabeledDataset, FeatureMask, mask_columns, project, rank_columns, relabel,
 )
-from gafs.tree import TreeConfig, best_split, fit, impurity, predict_batch
+from gafs.tree import CRITERIA, fit, impurity, predict_batch
 
 from oracles import bfs_arrays, brute_force_splits, pernode_fit, predict
 
@@ -26,7 +26,7 @@ TREE_ARRAYS = ("feature", "threshold", "impurity_decrease", "left", "right",
 def binary(X, y):
     X = np.asarray(X, dtype=float)
     names = tuple(f"f{i}" for i in range(X.shape[1]))
-    return BinaryLabeledDataset(X, np.asarray(y, bool), names, frozenset({"a"}))
+    return BinaryLabeledDataset(X, np.asarray(y, bool), names)
 
 
 # ------------------------------------------------------------------ impurity
@@ -75,39 +75,40 @@ def test_impurity_bounds_and_purity(a, b, criterion):
         assert value > 0.0
 
 
-# ---------------------------------------------------------------- best_split
+# ------------------------------------------------------------ the root split
+#
+# The root node of ``fit`` is the best split of the whole training set; a root
+# with feature -1 is a leaf: no split.
 
 
 def test_perfect_separator_gains_parent_impurity():
-    split = best_split([[0.0], [1.0], [0.0], [1.0]], [False, True, False, True], "entropy")
-    assert split.feature_index == 0
-    assert split.threshold == pytest.approx(0.5)
-    assert split.impurity_decrease == pytest.approx(1.0)
+    tree = fit(binary([[0.0], [1.0], [0.0], [1.0]], [False, True, False, True]), "entropy")
+    assert tree.feature[0] == 0
+    assert tree.threshold[0] == pytest.approx(0.5)
+    assert tree.impurity_decrease[0] == pytest.approx(1.0)
 
 
 def test_identical_feature_vectors_give_no_split():
     X = np.ones((6, 3))
     y = [True, False, True, False, False, True]
-    assert best_split(X, y, "entropy") is None
-    assert best_split(X, y, "gini") is None
+    assert fit(binary(X, y), "entropy").feature[0] == -1
+    assert fit(binary(X, y), "gini").feature[0] == -1
 
 
 def test_pure_node_gives_no_split():
     X = np.arange(8.0).reshape(4, 2)
-    assert best_split(X, [True] * 4, "gini") is None
+    assert fit(binary(X, [True] * 4), "gini").feature[0] == -1
 
 
 def test_tie_breaks_prefer_lowest_feature_then_threshold():
     # both columns separate perfectly; feature 0 must win
     X = np.array([[0, 0], [0, 0], [1, 1], [1, 1]], dtype=float)
     y = [False, False, True, True]
-    split = best_split(X, y, "gini")
-    assert split.feature_index == 0
+    assert fit(binary(X, y), "gini").feature[0] == 0
     # within one column, two equally good thresholds: the lower wins
     X2 = np.array([[0.0], [1.0], [2.0], [3.0]])
     y2 = [False, True, False, True]
-    split2 = best_split(X2, y2, "entropy")
-    assert split2.threshold == pytest.approx(0.5)
+    assert fit(binary(X2, y2), "entropy").threshold[0] == pytest.approx(0.5)
 
 
 small_instances = st.tuples(
@@ -130,25 +131,25 @@ small_instances = st.tuples(
 def test_root_split_matches_exhaustive_search(instance, criterion):
     rows, y = instance
     X = np.array(rows, dtype=float)
-    chosen = best_split(X, y, criterion)
+    tree = fit(binary(X, y), criterion)
     oracle = brute_force_splits(X, y, criterion)
     pos = sum(y)
     if pos in (0, len(y)) or not oracle:
-        assert chosen is None
+        assert tree.feature[0] == -1
         return
     best_decrease = max(d for _, _, d in oracle)
-    assert chosen is not None
-    assert chosen.impurity_decrease == pytest.approx(best_decrease, abs=1e-9)
+    assert tree.feature[0] >= 0
+    assert tree.impurity_decrease[0] == pytest.approx(best_decrease, abs=1e-9)
     # the implementation's pick must be among the oracle's optimal splits
     # (1e-9 window absorbs float noise between the two computations)
     optimal = [(f, t) for f, t, d in oracle if d >= best_decrease - 1e-9]
-    assert (chosen.feature_index, chosen.threshold) in [
+    assert (tree.feature[0], tree.threshold[0]) in [
         (f, pytest.approx(t)) for f, t in optimal
     ]
     if len(optimal) == 1:
         f, t = optimal[0]
-        assert chosen.feature_index == f
-        assert chosen.threshold == pytest.approx(t)
+        assert tree.feature[0] == f
+        assert tree.threshold[0] == pytest.approx(t)
 
 
 # ----------------------------------------------------------------------- fit
@@ -156,7 +157,7 @@ def test_root_split_matches_exhaustive_search(instance, criterion):
 
 def test_constant_labels_give_single_leaf():
     data = binary([[1, 2], [3, 4], [5, 6]], [False, False, False])
-    tree = fit(data, TreeConfig("entropy"))
+    tree = fit(data, "entropy")
     assert tree.node_count == 1
     assert tree.feature[0] == -1 and tree.left[0] == -1
     assert bool(tree.predicted[0]) is False
@@ -165,51 +166,45 @@ def test_constant_labels_give_single_leaf():
 def test_xor_reaches_depth_two_and_fits_training_data():
     data = binary([[0, 0], [0, 1], [1, 0], [1, 1]], [False, True, True, False])
     for criterion in ("entropy", "gini"):
-        tree = fit(data, TreeConfig(criterion))
+        tree = fit(data, criterion)
         assert tree.depth == 2
         assert np.array_equal(predict_batch(tree, data.features), data.targets)
 
 
 def test_fully_grown_tree_has_zero_training_error(tiny_task):
-    tree = fit(tiny_task, TreeConfig("entropy"))
+    tree = fit(tiny_task, "entropy")
     assert np.array_equal(predict_batch(tree, tiny_task.features), tiny_task.targets)
 
 
 def test_fit_rejects_empty_inputs():
     with pytest.raises(ValueError):
-        fit(binary(np.empty((0, 2)), []), TreeConfig())
+        fit(binary(np.empty((0, 2)), []))
     with pytest.raises(ValueError):
-        fit(binary(np.empty((3, 0)), [True, False, True]), TreeConfig())
+        fit(binary(np.empty((3, 0)), [True, False, True]))
 
 
-def test_max_depth_bounds_growth(tiny_task):
-    tree = fit(tiny_task, TreeConfig("gini", max_depth=2))
-    assert tree.depth <= 2
-
-
-def test_min_split_samples_stops_growth():
-    data = binary([[0], [1], [2], [3]], [False, True, False, True])
-    tree = fit(data, TreeConfig("entropy", min_split_samples=5))
-    assert tree.node_count == 1
+def test_fit_rejects_unknown_criterion(tiny_task):
+    with pytest.raises(ValueError, match="criterion must be one of"):
+        fit(tiny_task, "variance")
 
 
 def test_leaf_tie_predicts_negative():
     data = binary([[1], [1]], [True, False])
-    tree = fit(data, TreeConfig("entropy"))
+    tree = fit(data, "entropy")
     assert tree.feature[0] == -1 and tree.left[0] == -1
     assert bool(tree.predicted[0]) is False
 
 
 def test_fit_is_deterministic(tiny_task):
-    a = fit(tiny_task, TreeConfig("entropy"))
-    b = fit(tiny_task, TreeConfig("entropy"))
+    a = fit(tiny_task, "entropy")
+    b = fit(tiny_task, "entropy")
     for name in TREE_ARRAYS:
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
     assert (a.node_count, a.depth) == (b.node_count, b.depth)
 
 
 def test_internal_decreases_are_nonnegative(tiny_task):
-    tree = fit(tiny_task, TreeConfig("gini"))
+    tree = fit(tiny_task, "gini")
     # every internal node, found by walking down from the root
     internal, stack = [], [0]
     while stack:
@@ -227,13 +222,13 @@ def test_internal_decreases_are_nonnegative(tiny_task):
 
 def test_single_leaf_tree_predicts_its_class_for_any_input():
     data = binary([[1, 2], [3, 4]], [True, True])
-    tree = fit(data, TreeConfig("gini"))
+    tree = fit(data, "gini")
     assert predict(tree, [0, 0]) is True
     assert predict(tree, [99, -5]) is True
 
 
 def test_predict_rejects_length_mismatch(tiny_task):
-    tree = fit(tiny_task, TreeConfig("entropy"))
+    tree = fit(tiny_task, "entropy")
     with pytest.raises(ValueError):
         predict(tree, [0.0] * (tree.feature_count + 1))
     with pytest.raises(ValueError):
@@ -241,7 +236,7 @@ def test_predict_rejects_length_mismatch(tiny_task):
 
 
 def test_predict_batch_agrees_with_predict(tiny_task):
-    tree = fit(tiny_task, TreeConfig("entropy"))
+    tree = fit(tiny_task, "entropy")
     batch = predict_batch(tree, tiny_task.features)
     singles = [predict(tree, row) for row in tiny_task.features]
     assert list(batch) == singles
@@ -250,16 +245,14 @@ def test_predict_batch_agrees_with_predict(tiny_task):
 def test_masked_out_features_cannot_affect_predictions(synth_flood):
     train, test = synth_flood
     mask = FeatureMask.from_names(["protocol_type", "wrong_fragment", "count"])
-    tree = fit(project(train, mask), TreeConfig("entropy"))
+    tree = fit(project(train, mask), "entropy")
     baseline = predict_batch(tree, project(test, mask).features)
 
     rng = np.random.default_rng(7)
     perturbed_features = test.features.copy()
     masked_out = [i for i, g in enumerate(mask.genes) if not g]
     perturbed_features[:, masked_out] = rng.random((len(test), len(masked_out))) * 1e6
-    perturbed = BinaryLabeledDataset(
-        perturbed_features, test.targets, test.feature_names, test.target_spec
-    )
+    perturbed = BinaryLabeledDataset(perturbed_features, test.targets, test.feature_names)
     assert np.array_equal(
         predict_batch(tree, project(perturbed, mask).features), baseline
     )
@@ -268,28 +261,21 @@ def test_masked_out_features_cannot_affect_predictions(synth_flood):
 # ------------------------------- level-synchronous fit vs the per-node reference
 
 
-def assert_same_tree(data, config, extreme=False):
+def assert_same_tree(data, criterion, extreme=False):
     """``fit`` gives the per-node reference's tree, array bytes and all.
 
     With ``extreme``, the verbatim reference may overflow a midpoint and warn;
     ``fit`` itself must stay silent.
     """
-    tree = fit(data, config)
+    tree = fit(data, criterion)
     with np.errstate(over="ignore") if extreme else contextlib.nullcontext():
-        reference = pernode_fit(data, config)
+        reference = pernode_fit(data, criterion)
     arrays = bfs_arrays(reference.root)
     for name in TREE_ARRAYS:
         got, want = getattr(tree, name), arrays[name]
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
     assert (tree.node_count, tree.depth) == (reference.node_count, reference.depth)
     return tree
-
-
-def config_variants():
-    for criterion in ("entropy", "gini"):
-        yield TreeConfig(criterion)
-        yield TreeConfig(criterion, max_depth=3)
-        yield TreeConfig(criterion, min_split_samples=7)
 
 
 @pytest.mark.parametrize("k", [8, 20, 41])
@@ -299,10 +285,10 @@ def test_fit_matches_pernode_reference_on_synthetic_traffic(request, target, k):
     chosen = np.random.default_rng(k).choice(len(train.feature_names), k, replace=False)
     mask = FeatureMask.from_indices(chosen.tolist())
     projected = project(train, mask)
-    for config in config_variants():
-        tree = assert_same_tree(projected, config)
+    for criterion in CRITERIA:
+        tree = assert_same_tree(projected, criterion)
         # the mask's columns read in place, out of the sort of all 41
-        in_place = fit(train, config, mask_columns(train, mask))
+        in_place = fit(train, criterion, mask_columns(train, mask))
         for name in TREE_ARRAYS:
             assert getattr(in_place, name).tobytes() == getattr(tree, name).tobytes(), name
         assert in_place.feature_names == projected.feature_names
@@ -323,21 +309,14 @@ tied_instances = st.tuples(
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    instance=tied_instances,
-    criterion=st.sampled_from(["entropy", "gini"]),
-    max_depth=st.none() | st.integers(min_value=1, max_value=4),
-    min_split_samples=st.integers(min_value=2, max_value=6),
-)
-def test_fit_matches_pernode_reference_on_tied_matrices(
-        instance, criterion, max_depth, min_split_samples):
+@given(instance=tied_instances, criterion=st.sampled_from(["entropy", "gini"]))
+def test_fit_matches_pernode_reference_on_tied_matrices(instance, criterion):
     rows, y = instance
-    config = TreeConfig(criterion, max_depth, min_split_samples)
-    assert_same_tree(binary(rows, y), config)
+    assert_same_tree(binary(rows, y), criterion)
     # every histogram from a sort, then every one a dense table
     for bound in (0, np.inf):
         with mock.patch.object(tree_module, "_DENSE_CELLS_PER_ROW", bound):
-            assert_same_tree(binary(rows, y), config)
+            assert_same_tree(binary(rows, y), criterion)
 
 
 # huge values whose midpoint overflows, subnormals, signed zeros, and adjacent
@@ -363,15 +342,15 @@ EXTREME_VALUES = [
 )
 def test_fit_matches_pernode_reference_on_extreme_adjacent_floats(instance, criterion):
     rows, y = instance
-    assert_same_tree(binary(rows, y), TreeConfig(criterion), extreme=True)
+    assert_same_tree(binary(rows, y), criterion, extreme=True)
 
 
 def test_fit_matches_pernode_reference_on_every_extreme_value():
     values = np.array(EXTREME_VALUES * 2)
     X = np.column_stack([values, values[::-1], -values])
     y = np.arange(values.size) % 3 == 0
-    for config in config_variants():
-        assert_same_tree(binary(X, y), config, extreme=True)
+    for criterion in CRITERIA:
+        assert_same_tree(binary(X, y), criterion, extreme=True)
 
 
 # the bound on dense histogram cells per row: 1 mixes both paths on the
@@ -380,8 +359,8 @@ def test_fit_matches_pernode_reference_on_every_extreme_value():
 def test_fit_in_column_blocks_matches_pernode_reference(synth_burst, monkeypatch, block):
     train, _ = synth_burst
     monkeypatch.setattr(tree_module, "_DENSE_CELLS_PER_ROW", block)
-    for config in config_variants():
-        assert_same_tree(train, config)
+    for criterion in CRITERIA:
+        assert_same_tree(train, criterion)
 
 
 @pytest.mark.parametrize("bound", [0, np.inf], ids=["sorted", "dense"])
@@ -389,8 +368,8 @@ def test_fit_in_column_blocks_matches_pernode_reference(synth_burst, monkeypatch
 def test_each_histogram_path_alone_matches_pernode_reference(request, monkeypatch, target, bound):
     train, _ = request.getfixturevalue(f"synth_{target}")
     monkeypatch.setattr(tree_module, "_DENSE_CELLS_PER_ROW", bound)
-    for config in config_variants():
-        assert_same_tree(train, config)
+    for criterion in CRITERIA:
+        assert_same_tree(train, criterion)
 
 
 def test_signed_zeros_share_one_rank():
@@ -399,8 +378,8 @@ def test_signed_zeros_share_one_rank():
     x = np.array([-1.0, -0.0, 0.0, -0.0, 0.0, 2.0, -1.0, 0.0, 2.0, -0.0])
     y = np.array([True, False, True, True, False, True, False, False, True, True])
     X = np.column_stack([x, np.zeros_like(x), -x])
-    for config in config_variants():
-        tree = assert_same_tree(binary(X, y), config)
+    for criterion in CRITERIA:
+        tree = assert_same_tree(binary(X, y), criterion)
         assert set(tree.threshold[tree.feature >= 0]) <= {-0.5, 1.0}
     ranks, values = rank_columns(X)
     assert np.array_equal(values[0], [-1.0, 0.0, 2.0])
@@ -412,10 +391,10 @@ def test_constant_columns_alone_give_one_leaf(synth_burst):
     constant = [j for j in range(train.features.shape[1])
                 if np.ptp(train.features[:, j]) == 0.0]
     assert len(constant) >= 2
-    for config in config_variants():
-        tree = fit(train, config, constant)
+    for criterion in CRITERIA:
+        tree = fit(train, criterion, constant)
         assert tree.node_count == 1 and tree.depth == 0
-        assert_same_tree(project(train, FeatureMask.from_indices(constant)), config)
+        assert_same_tree(project(train, FeatureMask.from_indices(constant)), criterion)
 
 
 def test_constant_columns_before_the_winning_column():
@@ -424,15 +403,15 @@ def test_constant_columns_before_the_winning_column():
     y = (signal >= 4) ^ (rng.random(60) < 0.2)
     X = np.column_stack([np.full(60, 3.0), np.zeros(60), signal, np.full(60, -1.0),
                          rng.integers(0, 3, 60).astype(float)])
-    for config in config_variants():
-        tree = assert_same_tree(binary(X, y), config)
+    for criterion in CRITERIA:
+        tree = assert_same_tree(binary(X, y), criterion)
         assert tree.feature[0] in (2, 4)
         assert not np.isin(tree.feature, [0, 1, 3]).any()
 
 
 def test_predict_batch_agrees_with_predict_on_deep_trees(synth_burst):
     train, test = synth_burst
-    tree = fit(train, TreeConfig("gini"))
+    tree = fit(train, "gini")
     assert tree.depth >= 5
     assert list(predict_batch(tree, test.features)) == [predict(tree, r) for r in test.features]
 
@@ -479,19 +458,18 @@ def test_worker_threads_share_one_rank_table(synth_encoded, monkeypatch):
     monkeypatch.setattr(nslkdd, "rank_columns", lambda m: calls.append(id(m)) or real(m))
     masks = [FeatureMask.from_indices(range(j, j + 3)) for j in range(24)]
     burst = relabel(fresh, {"burst"})
-    config = TreeConfig("gini", max_depth=4)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(fit, burst, config, mask_columns(burst, mask))
+            futures = [pool.submit(fit, burst, "gini", mask_columns(burst, mask))
                        for mask in masks]
             trees = [future.result(timeout=60) for future in futures]
     finally:
         sys.setswitchinterval(interval)
     assert calls == [id(fresh.features)]
     for mask, tree in zip(masks, trees):
-        alone = fit(project(burst, mask), config)
+        alone = fit(project(burst, mask), "gini")
         for name in TREE_ARRAYS:
             assert getattr(tree, name).tobytes() == getattr(alone, name).tobytes(), name
     assert len(calls) == 1 + len(masks)  # each projection has a table of its own
