@@ -9,7 +9,6 @@ byte-stable for identical inputs and seeds.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import time
 from dataclasses import dataclass
@@ -52,6 +51,9 @@ class ExperimentConfig:
             raise ValueError("fixed mode requires a non-empty feature list")
         if self.mode == "ga" and self.ga is None:
             raise ValueError("ga mode requires a GAConfig")
+        if self.ga is not None and self.ga.criterion != self.criterion:
+            raise ValueError(f"GA criterion {self.ga.criterion!r} differs from the "
+                             f"experiment criterion {self.criterion!r}")
 
 
 @dataclass
@@ -198,8 +200,7 @@ def run_experiment(
         history: tuple[float, ...] = ()
         counts = {"requested": 1, "fitted": 1}
     else:
-        ga_cfg = dataclasses.replace(cfg.ga, criterion=cfg.criterion)
-        result = run(ga_cfg, train_binary, test_binary, use_cache=use_cache, trace=trace)
+        result = run(cfg.ga, train_binary, test_binary, use_cache=use_cache, trace=trace)
         best, history = result.best, result.history
         counts = {name: getattr(result, name)
                   for name in ("requested", "exact_hits", "memo_hits", "fitted")}
@@ -285,14 +286,18 @@ def verify_appendix(
 ) -> list[VerificationRow]:
     """Re-evaluate every bundled reference feature set on local data."""
     train, test, _ = _load(train_path, test_path)
+    labels = set(train.labels) | set(test.labels)
+    # each target's sets are relabelled once and serve all its cases, which
+    # also share the training set's root histograms
+    relabelled: dict[frozenset[str], tuple] = {}
 
     rows: list[VerificationRow] = []
     for case in cases:
-        attacks = resolve_target(case.target, set(train.labels) | set(test.labels))
+        attacks = resolve_target(case.target, labels)
+        if attacks not in relabelled:
+            relabelled[attacks] = relabel(train, attacks), relabel(test, attacks)
         mask = FeatureMask.from_names(case.features)
-        individual = compute_fitness(
-            mask, relabel(train, attacks), relabel(test, attacks), case.criterion
-        )
+        individual = compute_fitness(mask, *relabelled[attacks], case.criterion)
         rows.append(VerificationRow(case=case, cm=individual.cm,
                                     report=individual.metrics))
     return rows

@@ -8,9 +8,15 @@ feature index, then lowest threshold, so training is fully deterministic.
 
 Growth is level-synchronous and exact, from histograms (LightGBM's split
 search with one bin per distinct value): each training column is ranked once
-among its distinct values; at each depth two bincounts per column count the
-rows and positives of every (node, rank) cell, one pass over the cells scores
-every node's candidates, and rows move down by comparing ranks. Nothing is
+among its distinct values, and the root's histogram of each column (the rows
+and positives of every rank) is counted once per labelled training set. Below
+the root, two bincounts per column count the rows and positives of each
+(node, rank) cell of the counted nodes. On a level whose larger children hold
+many rows only the smaller child of each split is counted, and its open
+sibling's cells are the parent's minus the counted child's (LightGBM's
+histogram subtraction, exact on integer counts); the parent level's cells are
+kept per column for that. One pass over each column's cells scores every
+node's candidates, and rows move down by comparing ranks. Nothing is
 presorted or partitioned. Trees are flat arrays in breadth-first node order.
 """
 
@@ -27,6 +33,11 @@ CRITERIA = ("entropy", "gini")
 # A level's histogram of a column is a dense table of node x rank cells while
 # it has at most this many cells per row; past that its cells come from a sort.
 _DENSE_CELLS_PER_ROW = 4
+
+# A level derives the histograms of larger children from their parents' only
+# when those children hold at least this many rows; below it, counting them
+# costs less than the extra numpy calls per column.
+_MIN_DERIVED_ROWS = 32768
 
 
 @dataclass
@@ -87,40 +98,84 @@ def impurity(class_counts, criterion: str) -> float:
     return float(value)
 
 
-def _level_splits(ranks, values, columns, rows, node, size, pos, criterion: str):
-    """Best split of every open node of one level, from a histogram per column.
+def _root_histograms(ranks, values, targets, count_type) -> dict:
+    """Every non-constant column's histogram at the root of a labelled training
+    set: each rank is present, with its rows and positives (see ``_histogram``)."""
+    positive = np.flatnonzero(targets)
+    return {
+        j: (np.arange(v.size), np.bincount(ranks[j]).astype(count_type),
+            np.bincount(ranks[j][positive], minlength=v.size).astype(count_type))
+        for j, v in enumerate(values) if v.size > 1
+    }
 
-    ``ranks[j]`` and ``values[j]`` are column j's dense ranks and distinct
-    values (``rank_columns``); ``columns`` are searched in tie-break order.
-    ``rows`` are the level's rows, positives first, and ``node`` their node,
-    which holds ``size`` rows and ``pos`` positives. Returns per node the
-    position in ``columns`` of the split column (-1: no candidate), the
-    threshold, the decrease, the left child's size and positives, and the
-    rank of the largest value that goes left.
+
+def _histogram(key, positives, cells, dense, derived):
+    """Column histogram of one level: its present cells in ascending order, with
+    the rows and positives of each.
+
+    A cell is (node, rank) as ``node * d + rank``; the level has ``cells`` of
+    them. ``key`` is the cell of each row of the counted nodes, positives (the
+    first ``positives``) first. ``derived``, when not None, is (cell, sibling,
+    rows, positives): every present cell of a parent with a derived child, as
+    that child's cell and as its counted sibling's, with the parent's counts
+    there. The derived child's counts are the parent's minus the sibling's,
+    exact in integers, and cells left empty are dropped. The histogram comes
+    from a dense table of every cell when ``dense``, else from a sort of the
+    counted keys.
     """
-    m, positives = size.size, pos.sum()
+    if dense:
+        count = np.bincount(key, minlength=cells)
+        pos = np.bincount(key[:positives], minlength=cells)
+        if derived is not None:
+            cell, sibling, parent_count, parent_pos = derived
+            count[cell] = parent_count - count[sibling]
+            pos[cell] = parent_pos - pos[sibling]
+        present = np.flatnonzero(count)
+        return present, count[present], pos[present]
+    present, count = np.unique(key, return_counts=True)
+    positive_cell, positive_count = np.unique(key[:positives], return_counts=True)
+    pos = np.zeros(present.size, dtype=np.int64)
+    pos[np.searchsorted(present, positive_cell)] = positive_count
+    if derived is None:
+        return present, count, pos
+    cell, sibling, parent_count, parent_pos = derived
+    # the sibling's counts at each parent cell, zero where it has no rows
+    at = np.minimum(np.searchsorted(present, sibling), present.size - 1)
+    hit = present[at] == sibling
+    count_left = parent_count - np.where(hit, count[at], 0)
+    pos_left = parent_pos - np.where(hit, pos[at], 0)
+    keep = count_left > 0
+    return (np.concatenate((present, cell[keep])), np.concatenate((count, count_left[keep])),
+            np.concatenate((pos, pos_left[keep])))
+
+
+def _level_splits(values, columns, histogram, size, pos, criterion: str):
+    """Best split of every node of one level, from a histogram per column.
+
+    ``values[j]`` are column j's distinct values (``rank_columns``);
+    ``columns`` are searched in tie-break order. ``histogram(j, d)`` gives
+    column j's present cells at this level, ascending, with their rows and
+    positives: counted, or derived by subtraction, or the root table (see
+    ``_histogram``); node i holds ``size[i]`` rows and ``pos[i]`` positives.
+    Each column's cells are scored in one pass over all the level's nodes.
+    Returns per node the position in ``columns`` of the split column (-1: no
+    candidate), the threshold, the decrease, the left child's size and
+    positives, and the rank of the largest value that goes left; and each
+    column's histogram, which the next level's subtraction reads.
+    """
+    m = size.size
     start, pos_before = np.cumsum(size) - size, np.cumsum(pos) - pos
     size_f, pos_f = size.astype(np.float64), pos.astype(np.float64)
     parent = _impurity_arrays(pos_f, size_f, criterion)
     feature = np.full(m, -1, dtype=np.intp)
     best, threshold = np.full(m, -np.inf), np.zeros(m)
     left_size, left_pos, cut = (np.zeros(m, dtype=np.int64) for _ in range(3))
+    histograms = {}
     for f, j in enumerate(columns):
         d = values[j].size
         if d == 1:  # constant on the training set: no candidate anywhere
             continue
-        # the (node, rank) cell of each row; the present cells in order, with
-        # their rows and positives
-        key = node * d + ranks[j][rows]
-        if m * d <= _DENSE_CELLS_PER_ROW * key.size:
-            count = np.bincount(key, minlength=m * d)
-            cell = np.flatnonzero(count)
-            count, cell_pos = count[cell], np.bincount(key[:positives], minlength=m * d)[cell]
-        else:
-            cell, count = np.unique(key, return_counts=True)
-            positive_cell, positive_count = np.unique(key[:positives], return_counts=True)
-            cell_pos = np.zeros(cell.size, dtype=np.int64)
-            cell_pos[np.searchsorted(cell, positive_cell)] = positive_count
+        cell, count, cell_pos = histograms[j] = histogram(j, d)
         at, rank = np.divmod(cell, d)
         # a candidate pairs a present rank with the next one of the same node;
         # the midpoint guards cover float collapse onto a neighbour for
@@ -151,7 +206,22 @@ def _level_splits(ranks, values, columns, rows, node, size, pos, criterion: str)
         best[won], feature[won], threshold[won] = top[better], f, thresholds[chosen]
         left_size[won], left_pos[won] = cand_size[chosen], cand_pos[chosen]
         cut[won] = rank[candidates[chosen]]
-    return feature, threshold, best, left_size, left_pos, cut
+    return feature, threshold, best, left_size, left_pos, cut, histograms
+
+
+def _parent_cells(histograms, values, child, sibling, count_type) -> dict:
+    """The next level's ``derived`` input of ``_histogram``, by column: every
+    cell of a node with a derived child (``child[node] >= 0``), renumbered to
+    that child and to its counted sibling (``sibling[node]``)."""
+    derived = {}
+    for j, (cell, count, pos) in histograms.items():
+        d = values[j].size
+        at, rank = np.divmod(cell, d)
+        keep = np.flatnonzero(child[at] >= 0)
+        at, rank = at[keep], rank[keep]
+        derived[j] = (child[at] * d + rank, sibling[at] * d + rank,
+                      count[keep].astype(count_type), pos[keep].astype(count_type))
+    return derived
 
 
 def fit(train: BinaryLabeledDataset, criterion: str = "entropy",
@@ -161,9 +231,10 @@ def fit(train: BinaryLabeledDataset, criterion: str = "entropy",
     ``columns`` are positions in ``train.features`` (all of them when None);
     the tree's feature indices count within them. They are read out of the
     training set's rank table (``train.ranks``, made by the first fit on the
-    matrix), so no projected copy is built. The tree is always grown to
-    purity: a node becomes a leaf only when it is pure or has no candidate
-    split. Same inputs always give an identical tree.
+    matrix) and its root histograms (``train.root_histograms``, made by the
+    first fit on the labelled set), so no projected copy is built. The tree
+    is always grown to purity: a node becomes a leaf only when it is pure or
+    has no candidate split. Same inputs always give an identical tree.
     """
     check_criterion(criterion)
     X = np.asarray(train.features, dtype=np.float64)
@@ -175,9 +246,11 @@ def fit(train: BinaryLabeledDataset, criterion: str = "entropy",
         raise ValueError("training data must contain at least one feature column")
     if X.shape[0] != y.size:
         raise ValueError("feature matrix and targets differ in length")
-    ranks, values = train.ranks.of(X)
-    column_of = np.asarray(columns)
     n = y.size
+    count_type = np.int32 if n <= np.iinfo(np.int32).max else np.int64  # of kept histograms
+    ranks, values = train.ranks.of(X)
+    root = train.root_histograms.of(lambda: _root_histograms(ranks, values, y, count_type))
+    column_of = np.asarray(columns)
 
     def is_open(size: np.ndarray, pos: np.ndarray) -> np.ndarray:
         return (pos > 0) & (pos < size)  # impure, so it holds at least two rows
@@ -185,42 +258,88 @@ def fit(train: BinaryLabeledDataset, criterion: str = "entropy",
     # per level: the nodes made (ids, sizes, positives) and the splits made
     made = [(np.array([0]), np.array([n]), np.array([np.count_nonzero(y)]))]
     splits = []
-    ids, size, pos = (a[is_open(made[0][1], made[0][2])] for a in made[0])
-    # the open nodes' rows, positives first, and the open node of each
+    # the level's working nodes (ids, sizes, positives, open or not); the
+    # histograms of the first ``counted`` are counted from their rows and the
+    # others' derived from their parents' (the root's is the root table)
+    ids, size, pos = made[0]
+    is_open_node, counted = is_open(size, pos), 0
+    # the working nodes' rows, positives first, and the working node of each
     rows = np.concatenate((np.flatnonzero(y), np.flatnonzero(~y)))
     node = np.zeros(n, dtype=np.intp)
-    depth = 0
-    while ids.size:
+    depth, derived = 0, {}
+
+    def histogram(j: int, d: int):
+        if not counted:
+            return root[j]
+        cells = size.size * d
+        return _histogram(count_node * d + ranks[j][count_rows], positives, cells,
+                          cells <= dense_cells, derived.get(j))
+
+    while is_open_node.any():
+        if counted:
+            count_rows, count_node = rows, node
+            if derived:
+                mine = node < counted
+                count_rows, count_node = rows[mine], node[mine]
+            positives, dense_cells = pos[:counted].sum(), _DENSE_CELLS_PER_ROW * rows.size
         with np.errstate(over="ignore"):  # an overflowing midpoint is no candidate
-            feature, threshold, decrease, left_size, left_pos, cut = _level_splits(
-                ranks, values, columns, rows, node, size, pos, criterion)
-        split = feature >= 0
+            feature, threshold, decrease, left_size, left_pos, cut, histograms = _level_splits(
+                values, columns, histogram, size, pos, criterion)
+        split = (feature >= 0) & is_open_node
         if not split.any():
             break
-        # children are numbered breadth-first: by parent id, left before right;
-        # a level's ids ascend, so the parents are already in id order
+        # children are numbered breadth-first: by parent id, left before right
         parents = ids[split]
-        left_id = sum(made_ids.size for made_ids, _, _ in made) + 2 * np.arange(parents.size)
+        left_id = np.empty(parents.size, dtype=np.intp)
+        left_id[np.argsort(parents)] = (sum(made_ids.size for made_ids, _, _ in made)
+                                        + 2 * np.arange(parents.size))
         splits.append((parents, feature[split], threshold[split], decrease[split],
                        left_id, left_id + 1))
         depth += 1
         ls, lp = left_size[split], left_pos[split]
         rs, rp = size[split] - ls, pos[split] - lp
-        made.append((np.r_[left_id, left_id + 1], np.r_[ls, rs], np.r_[lp, rp]))
-        # the next level's nodes are the open children, each left before its right
-        child_open = np.c_[is_open(ls, lp), is_open(rs, rp)].ravel()
-        if not child_open.any():
+        left_open, right_open = is_open(ls, lp), is_open(rs, rp)
+        # the children by (split node, side)
+        child_id, child_size, child_pos, child_open = (
+            np.array(pair).ravel("F") for pair in ((left_id, left_id + 1), (ls, rs), (lp, rp),
+                                                   (left_open, right_open)))
+        made.append((child_id, child_size, child_pos))
+        # the next level's working nodes, in order: the open children, all
+        # counted; or, on a level whose open larger children hold enough rows,
+        # the smaller child of every split node with an open child, counted
+        # even when closed, then the open larger children, each derived as its
+        # parent minus its smaller sibling
+        small_left = ls <= rs  # on a tie the left child is the smaller
+        large_open = np.where(small_left, right_open, left_open)
+        if np.where(small_left, rs, ls)[large_open].sum() >= _MIN_DERIVED_ROWS:
+            first = 2 * np.arange(ls.size)
+            small = (first + ~small_left)[left_open | right_open]
+            order = np.r_[small, (first + small_left)[large_open]]
+            counted = small.size
+        else:
+            order = np.flatnonzero(child_open)
+            counted = order.size
+        if not order.size:
             break
-        child = np.full(2 * ids.size, -1, dtype=np.intp)  # by (node, side)
-        child[np.repeat(split, 2)] = np.where(child_open, np.cumsum(child_open) - 1, -1)
+        ids, size, pos, is_open_node = (
+            a[order] for a in (child_id, child_size, child_pos, child_open))
+        split_node = np.flatnonzero(split)
+        child = np.full(2 * feature.size, -1, dtype=np.intp)  # the next level's, by (node, side)
+        child[(2 * split_node[:, None] + (0, 1)).ravel()[order]] = np.arange(order.size)
         # a row goes right when its rank in the split column is above the cut;
         # rows of a node without a split read any column and drop out
         right = ranks[column_of[feature[node]], rows] > cut[node]
         node = child[2 * node + right]
         rows, node = rows[node >= 0], node[node >= 0]
-        ids = np.c_[left_id, left_id + 1].ravel()[child_open]
-        size = np.c_[ls, rs].ravel()[child_open]
-        pos = np.c_[lp, rp].ravel()[child_open]
+        derived = {}
+        if counted < order.size:
+            parent = split_node[large_open]
+            derived_child, counted_sibling = (np.full(feature.size, -1, dtype=np.intp)
+                                              for _ in range(2))
+            derived_child[parent] = np.arange(counted, order.size)
+            counted_sibling[parent] = (np.cumsum(left_open | right_open) - 1)[large_open]
+            derived = _parent_cells(histograms, values, derived_child, counted_sibling,
+                                    count_type)
 
     node, node_size, node_pos = map(np.concatenate, zip(*made))
     counts = np.empty((node.size, 2), dtype=np.int64)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gafs import experiment
 from gafs.cli import main
 from gafs.experiment import (
     ExperimentConfig,
@@ -12,8 +13,10 @@ from gafs.experiment import (
     run_experiment,
     verify_appendix,
 )
-from gafs.ga import GAConfig
-from gafs.nslkdd import DOS_ATTACKS, FEATURE_NAMES
+from gafs.ga import GAConfig, compute_fitness
+from gafs.metrics import ConfusionMatrix
+from gafs.nslkdd import DOS_ATTACKS, FEATURE_NAMES, FeatureMask
+from gafs.reference import ReferenceCase
 
 
 def fixed_cfg(synth_files, target="flood",
@@ -122,22 +125,18 @@ def test_ga_experiment_runs_and_records_history(synth_files):
     assert result.mask.selected_count == len(result.selected_features)
 
 
-def test_ga_criterion_follows_experiment_config(synth_files):
-    train, test = synth_files
-    mismatched = ExperimentConfig(
-        train_path=train, test_path=test, mode="ga", target="burst",
-        criterion="gini",
-        ga=GAConfig(seed=1, population_size=6, generations=2, criterion="entropy"),
-    )
-    consistent = ExperimentConfig(
-        train_path=train, test_path=test, mode="ga", target="burst",
-        criterion="gini",
-        ga=GAConfig(seed=1, population_size=6, generations=2, criterion="gini"),
-    )
-    a = run_experiment(mismatched)  # experiment criterion wins over the nested one
-    b = run_experiment(consistent)
-    assert a.best.mask == b.best.mask
-    assert a.history == b.history
+def test_mismatched_ga_criterion_rejected_before_any_file_is_read(tmp_path):
+    absent = tmp_path / "absent.txt"
+    for mode, features in (("ga", None), ("fixed", ("land",))):
+        with pytest.raises(ValueError, match="GA criterion 'entropy' differs from the "
+                                             "experiment criterion 'gini'"):
+            ExperimentConfig(train_path=absent, test_path=absent, mode=mode, target="land",
+                             criterion="gini", fixed_features=features,
+                             ga=GAConfig(seed=1, criterion="entropy"))
+    consistent = ExperimentConfig(train_path=absent, test_path=absent, mode="ga",
+                                  target="land", criterion="gini",
+                                  ga=GAConfig(seed=1, criterion="gini"))
+    assert consistent.ga.criterion == "gini"
 
 
 # --------------------------------------------------------------- emit_reports
@@ -236,6 +235,31 @@ def test_verify_appendix_mechanics_on_synth(synth_files):
     # synthetic traffic has no DoS rows: every reference target comes out empty
     for row in rows:
         assert row.cm.tp + row.cm.fn == 0
+
+
+def test_verify_appendix_relabels_each_target_once(synth_files, monkeypatch):
+    train_path, test_path = synth_files
+    names = (("protocol_type", "count"), ("service", "src_bytes", "count", "flag"),
+             tuple(FEATURE_NAMES))
+    cases = tuple(
+        ReferenceCase(name=f"{target}/{criterion}/k{len(features)}", target=target,
+                      criterion=criterion, features=features,
+                      expected_cm=ConfusionMatrix(tp=0, fn=0, fp=0, tn=0))
+        for features in names for target in ("flood", "burst") for criterion in ("entropy", "gini")
+    )
+    calls = []
+    real = experiment.relabel
+    monkeypatch.setattr(experiment, "relabel",
+                        lambda data, attacks: calls.append(attacks) or real(data, attacks))
+    rows = verify_appendix(train_path, test_path, cases)
+    assert len(rows) == 12 and len(calls) == 4
+    # each case as it ran with sets relabelled for it alone
+    train, test, _ = experiment._load(train_path, test_path)
+    for row, case in zip(rows, cases):
+        attacks = {case.target}
+        fresh = compute_fitness(FeatureMask.from_names(case.features), real(train, attacks),
+                                real(test, attacks), case.criterion)
+        assert row.case is case and row.cm == fresh.cm and row.report == fresh.metrics
 
 
 # ------------------------------------------------------------------------ CLI

@@ -261,21 +261,31 @@ def test_masked_out_features_cannot_affect_predictions(synth_flood):
 # ------------------------------- level-synchronous fit vs the per-node reference
 
 
-def assert_same_tree(data, criterion, extreme=False):
-    """``fit`` gives the per-node reference's tree, array bytes and all.
+def assert_same_tree(data, criterion, extreme=False, dense_bounds=(None,)):
+    """``fit`` gives the per-node reference's tree, array bytes and all, both
+    as it is (on sets this small every node is counted) and with every open
+    larger child's histogram derived from its parent's; under each of
+    ``dense_bounds`` on the dense histogram cells (None: the module's).
 
     With ``extreme``, the verbatim reference may overflow a midpoint and warn;
     ``fit`` itself must stay silent.
     """
-    tree = fit(data, criterion)
+    trees = []
+    for dense in dense_bounds:
+        with mock.patch.object(tree_module, "_DENSE_CELLS_PER_ROW",
+                               tree_module._DENSE_CELLS_PER_ROW if dense is None else dense):
+            trees.append(fit(data, criterion))
+            with mock.patch.object(tree_module, "_MIN_DERIVED_ROWS", 0):
+                trees.append(fit(data, criterion))
     with np.errstate(over="ignore") if extreme else contextlib.nullcontext():
         reference = pernode_fit(data, criterion)
     arrays = bfs_arrays(reference.root)
-    for name in TREE_ARRAYS:
-        got, want = getattr(tree, name), arrays[name]
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
-    assert (tree.node_count, tree.depth) == (reference.node_count, reference.depth)
-    return tree
+    for tree in trees:
+        for name in TREE_ARRAYS:
+            got, want = getattr(tree, name), arrays[name]
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert (tree.node_count, tree.depth) == (reference.node_count, reference.depth)
+    return trees[0]
 
 
 @pytest.mark.parametrize("k", [8, 20, 41])
@@ -312,11 +322,8 @@ tied_instances = st.tuples(
 @given(instance=tied_instances, criterion=st.sampled_from(["entropy", "gini"]))
 def test_fit_matches_pernode_reference_on_tied_matrices(instance, criterion):
     rows, y = instance
-    assert_same_tree(binary(rows, y), criterion)
-    # every histogram from a sort, then every one a dense table
-    for bound in (0, np.inf):
-        with mock.patch.object(tree_module, "_DENSE_CELLS_PER_ROW", bound):
-            assert_same_tree(binary(rows, y), criterion)
+    # as set, then every histogram from a sort, then every one a dense table
+    assert_same_tree(binary(rows, y), criterion, dense_bounds=(None, 0, np.inf))
 
 
 # huge values whose midpoint overflows, subnormals, signed zeros, and adjacent
@@ -409,6 +416,51 @@ def test_constant_columns_before_the_winning_column():
         assert not np.isin(tree.feature, [0, 1, 3]).any()
 
 
+def test_equal_size_siblings_match_pernode_reference(monkeypatch):
+    # the rows are a cube of binary columns, so every split halves its node
+    # and either child could be the counted one
+    bits = (np.arange(64)[:, None] >> np.arange(6)) & 1
+    y = (bits[:, 0] ^ bits[:, 1] ^ (bits[:, 2] & bits[:, 3])).astype(bool)
+    derived = []
+    real = tree_module._parent_cells
+    monkeypatch.setattr(tree_module, "_parent_cells",
+                        lambda *a: derived.append(1) or real(*a))
+    for criterion in CRITERIA:
+        tree = assert_same_tree(binary(bits, y), criterion)
+        inner = np.flatnonzero(tree.feature >= 0)
+        sizes = tree.counts.sum(axis=1)
+        assert np.array_equal(sizes[tree.left[inner]], sizes[tree.right[inner]])
+        assert tree.depth >= 3
+    assert derived
+
+
+def test_closed_or_unsplittable_siblings_match_pernode_reference(monkeypatch):
+    # blocks of rows that the trees split apart: a pure smaller child beside
+    # an open larger one (the closed child is counted for its sibling), a
+    # pure larger child, and an open larger child of identical rows, which
+    # has no candidate
+    def block(x0, n, y, identical=False):
+        rest = [np.zeros(n)] * 2 if identical else [np.arange(n) % 3, np.arange(n) % 2]
+        return np.column_stack([np.full(n, x0), *rest]), np.asarray(y, bool)
+
+    cases = [
+        [block(0.0, 3, [1, 1, 1]), block(1.0, 12, np.arange(12) % 3 == 0)],
+        [block(0.0, 12, [0] * 12), block(1.0, 4, [1, 0, 0, 1])],
+        [block(0.0, 12, np.arange(12) % 2 == 0, identical=True),
+         block(1.0, 5, [1, 0, 1, 1, 0])],
+    ]
+    derived = []
+    real = tree_module._parent_cells
+    monkeypatch.setattr(tree_module, "_parent_cells",
+                        lambda *a: derived.append(1) or real(*a))
+    for blocks in cases:
+        X = np.concatenate([b[0] for b in blocks] + [b[0] for b in blocks[::-1]])
+        y = np.concatenate([b[1] for b in blocks] + [b[1] for b in blocks[::-1]])
+        for criterion in CRITERIA:
+            assert_same_tree(binary(X, y), criterion)
+    assert derived
+
+
 def test_predict_batch_agrees_with_predict_on_deep_trees(synth_burst):
     train, test = synth_burst
     tree = fit(train, "gini")
@@ -453,9 +505,12 @@ def test_worker_threads_share_one_rank_table(synth_encoded, monkeypatch):
     train, _, _ = synth_encoded
     # large enough that ranking outlasts the threads' start
     fresh = nslkdd.Dataset(np.tile(train.features, (20, 1)), train.labels * 20)
-    calls = []
+    calls, root_calls = [], []
     real = nslkdd.rank_columns
     monkeypatch.setattr(nslkdd, "rank_columns", lambda m: calls.append(id(m)) or real(m))
+    real_root = tree_module._root_histograms
+    monkeypatch.setattr(tree_module, "_root_histograms",
+                        lambda *a: root_calls.append(1) or real_root(*a))
     masks = [FeatureMask.from_indices(range(j, j + 3)) for j in range(24)]
     burst = relabel(fresh, {"burst"})
     interval = sys.getswitchinterval()
@@ -467,12 +522,35 @@ def test_worker_threads_share_one_rank_table(synth_encoded, monkeypatch):
             trees = [future.result(timeout=60) for future in futures]
     finally:
         sys.setswitchinterval(interval)
-    assert calls == [id(fresh.features)]
+    assert calls == [id(fresh.features)] and len(root_calls) == 1
     for mask, tree in zip(masks, trees):
         alone = fit(project(burst, mask), "gini")
         for name in TREE_ARRAYS:
             assert getattr(tree, name).tobytes() == getattr(alone, name).tobytes(), name
     assert len(calls) == 1 + len(masks)  # each projection has a table of its own
+    assert len(root_calls) == 1 + len(masks)
+
+
+def test_root_histograms_are_made_once_per_labelled_set(synth_encoded, monkeypatch):
+    train, _, _ = synth_encoded
+    calls = []
+    real = tree_module._root_histograms
+    monkeypatch.setattr(tree_module, "_root_histograms",
+                        lambda *a: calls.append(1) or real(*a))
+    masks = [["count"], ["count", "src_bytes", "service"], ["duration", "flag"]]
+    labelled = {target: relabel(train, {target}) for target in ("flood", "burst")}
+    trees = {(target, i, criterion): fit(data, criterion,
+                                         mask_columns(data, FeatureMask.from_names(names)))
+             for target, data in labelled.items()
+             for i, names in enumerate(masks) for criterion in CRITERIA}
+    assert len(calls) == len(labelled)
+    # a relabel of the same matrix has its own root table: the trees are the
+    # ones fresh datasets give
+    for (target, i, criterion), tree in trees.items():
+        fresh = relabel(nslkdd.Dataset(train.features.copy(), train.labels), {target})
+        alone = fit(fresh, criterion, mask_columns(fresh, FeatureMask.from_names(masks[i])))
+        for name in TREE_ARRAYS:
+            assert getattr(tree, name).tobytes() == getattr(alone, name).tobytes(), name
 
 
 def test_compute_fitness_projects_only_the_test_set(synth_flood, monkeypatch):
