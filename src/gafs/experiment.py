@@ -69,6 +69,7 @@ class ExperimentResult:
     exact_hits: int = 0
     memo_hits: int = 0
     fitted: int = 0
+    split_hits: int = 0
 
     @property
     def mask(self) -> FeatureMask:
@@ -94,7 +95,7 @@ class ExperimentResult:
     def evaluation_line(self) -> str:
         """The evaluation counts in one line, for the console and run.log."""
         return (f"evaluations requested={self.requested} exact_hits={self.exact_hits} "
-                f"memo_hits={self.memo_hits} fitted={self.fitted}")
+                f"memo_hits={self.memo_hits} fitted={self.fitted} split_hits={self.split_hits}")
 
     def feature_line(self) -> str:
         """Selected features in report style: ``target: 'alias', 'alias'``."""
@@ -203,7 +204,7 @@ def run_experiment(
         result = run(cfg.ga, train_binary, test_binary, use_cache=use_cache, trace=trace)
         best, history = result.best, result.history
         counts = {name: getattr(result, name)
-                  for name in ("requested", "exact_hits", "memo_hits", "fitted")}
+                  for name in ("requested", "exact_hits", "memo_hits", "fitted", "split_hits")}
 
     return ExperimentResult(
         config=cfg,

@@ -8,7 +8,8 @@ individual can never get worse.
 
 Random draws for selection, crossover and mutation are made sequentially
 from one seeded stream before a generation is evaluated, and evaluations
-are pure, so the fitness memo cannot change the outcome of a run.
+are pure, so neither the fitness memo nor the split table can change the
+outcome of a run.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .metrics import ConfusionMatrix, MetricsReport, confusion, metrics, ranking_key
 from .nslkdd import N_FEATURES, BinaryLabeledDataset, FeatureMask, mask_columns, project
-from .tree import check_criterion, fit, predict_batch
+from .tree import SplitTable, check_criterion, fit, predict_batch
 
 Tracer = Callable[[int, "EvaluatedIndividual"], None]
 
@@ -84,6 +85,7 @@ class GAResult:
     exact_hits: int  # served by an evaluation of the same mask
     memo_hits: int  # served by the tree of a larger mask (FitnessMemo)
     fitted: int  # passed to compute_fitness
+    split_hits: int  # (node, column) split searches served by the SplitTable
 
 
 def compute_fitness(
@@ -91,16 +93,17 @@ def compute_fitness(
     train: BinaryLabeledDataset,
     test: BinaryLabeledDataset,
     criterion: str = "entropy",
+    table: SplitTable | None = None,
 ) -> EvaluatedIndividual:
     """Train on the mask's training columns, validate on the masked test set.
 
-    The tree reads the training columns in place; only the test set is
-    projected. The all-zero mask never reaches the classifier: it is
-    assigned the worst possible fitness of 1.0 directly.
+    The tree reads the training columns in place, through ``table`` when
+    given; only the test set is projected. The all-zero mask never reaches
+    the classifier: it is assigned the worst possible fitness of 1.0 directly.
     """
     if mask.selected_count == 0:
         return EvaluatedIndividual(mask=mask, fitness=1.0, selected_count=0)
-    tree = fit(train, criterion, mask_columns(train, mask))
+    tree = fit(train, criterion, mask_columns(train, mask), table)
     projected_test = project(test, mask)
     predictions = predict_batch(tree, projected_test.features)
     cm = confusion(predictions, projected_test.targets)
@@ -167,18 +170,20 @@ def _evaluate(
     test: BinaryLabeledDataset,
     criterion: str,
     memo: FitnessMemo | None,
+    table: SplitTable | None = None,
 ) -> list[EvaluatedIndividual]:
     """Evaluate a batch of masks one at a time, in input order.
 
     Each mask is looked up in the memo first, so it can be served by any mask
     evaluated before it, earlier in the same batch included; a miss is fitted
-    and added. Without a memo (``use_cache=False``) every mask is fitted.
+    (through ``table``) and added. Without a memo (``use_cache=False``) every
+    mask is fitted.
     """
     results = []
     for mask in masks:
         individual = memo.lookup(mask) if memo is not None else None
         if individual is None:
-            individual = compute_fitness(mask, train, test, criterion)
+            individual = compute_fitness(mask, train, test, criterion, table)
             if memo is not None:
                 memo.add(individual)
         results.append(individual)
@@ -201,6 +206,7 @@ def init_population(
     test: BinaryLabeledDataset,
     *,
     cache: FitnessMemo | None = None,
+    table: SplitTable | None = None,
 ) -> Population:
     """Draw, evaluate and sort the seeded initial population.
 
@@ -209,7 +215,8 @@ def init_population(
     """
     rng = np.random.default_rng(cfg.seed)
     masks = [_random_mask(rng, cfg.candidate_features) for _ in range(cfg.population_size)]
-    individuals = sorted(_evaluate(masks, train, test, cfg.criterion, cache), key=ranking_key)
+    individuals = sorted(_evaluate(masks, train, test, cfg.criterion, cache, table),
+                         key=ranking_key)
     return Population(individuals=individuals, generation=0, rng=rng)
 
 
@@ -256,6 +263,7 @@ def evolve(
     test: BinaryLabeledDataset,
     *,
     cache: FitnessMemo | None = None,
+    table: SplitTable | None = None,
 ) -> Population:
     """One generation: breed population_size children, merge, sort, truncate."""
     rng = pop.rng
@@ -269,7 +277,7 @@ def evolve(
                 child = child.constrain(cfg.candidate_features)
             child_masks.append(child)
     child_masks = child_masks[: cfg.population_size]
-    children = _evaluate(child_masks, train, test, cfg.criterion, cache)
+    children = _evaluate(child_masks, train, test, cfg.criterion, cache, table)
     merged = sorted(pop.individuals + children, key=ranking_key)
     return Population(
         individuals=merged[: cfg.population_size],
@@ -290,19 +298,22 @@ def run(
 
     Returns the best individual of the final population (fitness, then fewest
     features, then gene order) and the best-fitness trajectory, one entry for
-    the initial population plus one per completed generation.
+    the initial population plus one per completed generation. With
+    ``use_cache`` the run keeps a ``FitnessMemo`` and a ``SplitTable``; both
+    live as long as the run.
     """
     memo = FitnessMemo() if use_cache else None
-    pop = init_population(cfg, train, test, cache=memo)
+    table = SplitTable(train, cfg.criterion) if use_cache else None
+    pop = init_population(cfg, train, test, cache=memo, table=table)
     history = [pop.individuals[0].fitness]
     if trace is not None:
         trace(0, pop.individuals[0])
     while pop.individuals[0].fitness > cfg.early_stop_fitness and pop.generation < cfg.generations:
-        pop = evolve(pop, cfg, train, test, cache=memo)
+        pop = evolve(pop, cfg, train, test, cache=memo, table=table)
         history.append(pop.individuals[0].fitness)
         if trace is not None:
             trace(pop.generation, pop.individuals[0])
     requested = cfg.population_size * len(history)
     exact, served = (memo.exact_hits, memo.memo_hits) if memo is not None else (0, 0)
     return GAResult(pop.individuals[0], tuple(history), requested, exact, served,
-                    requested - exact - served)
+                    requested - exact - served, table.hits if table is not None else 0)

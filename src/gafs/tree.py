@@ -11,13 +11,18 @@ search with one bin per distinct value): each training column is ranked once
 among its distinct values, and the root's histogram of each column (the rows
 and positives of every rank) is counted once per labelled training set. Below
 the root, two bincounts per column count the rows and positives of each
-(node, rank) cell of the counted nodes. On a level whose larger children hold
-many rows only the smaller child of each split is counted, and its open
-sibling's cells are the parent's minus the counted child's (LightGBM's
-histogram subtraction, exact on integer counts); the parent level's cells are
-kept per column for that. One pass over each column's cells scores every
+(node, rank) cell of the level. One pass over each column's cells scores every
 node's candidates, and rows move down by comparing ranks. Nothing is
 presorted or partitioned. Trees are flat arrays in breadth-first node order.
+
+A ``SplitTable`` carries split searches from one fit to the next on one
+training set under one criterion; a GA run keeps one. A node's rows are fixed
+by its path from the root, the (column, cut rank, side) of every split above
+it, whatever other columns the tree may use, and so is each column's best
+split there. The table keeps that per (path, column) for nodes holding at
+least 1% of the rows, and a fit counts and scores a column only at the nodes
+whose entry is missing. Both come from the same integer counts through the
+same expressions, so a tree is bit-identical with or without a table.
 """
 
 from __future__ import annotations
@@ -34,10 +39,10 @@ CRITERIA = ("entropy", "gini")
 # it has at most this many cells per row; past that its cells come from a sort.
 _DENSE_CELLS_PER_ROW = 4
 
-# A level derives the histograms of larger children from their parents' only
-# when those children hold at least this many rows; below it, counting them
-# costs less than the extra numpy calls per column.
-_MIN_DERIVED_ROWS = 32768
+# A SplitTable keeps only nodes holding at least this share of the training
+# rows, and at most this many bytes of entries.
+_TABLE_MIN_SHARE = 0.01
+_TABLE_MAX_BYTES = 64 << 20
 
 
 @dataclass
@@ -98,143 +103,257 @@ def impurity(class_counts, criterion: str) -> float:
     return float(value)
 
 
-def _root_histograms(ranks, values, targets, count_type) -> dict:
+def _root_histograms(ranks, values, targets) -> dict:
     """Every non-constant column's histogram at the root of a labelled training
     set: each rank is present, with its rows and positives (see ``_histogram``)."""
     positive = np.flatnonzero(targets)
     return {
-        j: (np.arange(v.size), np.bincount(ranks[j]).astype(count_type),
-            np.bincount(ranks[j][positive], minlength=v.size).astype(count_type))
+        j: (np.arange(v.size), np.bincount(ranks[j]),
+            np.bincount(ranks[j][positive], minlength=v.size))
         for j, v in enumerate(values) if v.size > 1
     }
 
 
-def _histogram(key, positives, cells, dense, derived):
+def _histogram(key, positives, cells, dense):
     """Column histogram of one level: its present cells in ascending order, with
     the rows and positives of each.
 
     A cell is (node, rank) as ``node * d + rank``; the level has ``cells`` of
-    them. ``key`` is the cell of each row of the counted nodes, positives (the
-    first ``positives``) first. ``derived``, when not None, is (cell, sibling,
-    rows, positives): every present cell of a parent with a derived child, as
-    that child's cell and as its counted sibling's, with the parent's counts
-    there. The derived child's counts are the parent's minus the sibling's,
-    exact in integers, and cells left empty are dropped. The histogram comes
-    from a dense table of every cell when ``dense``, else from a sort of the
-    counted keys.
+    them. ``key`` is the cell of each counted row, positives (the first
+    ``positives``) first. The histogram comes from a dense table of every cell
+    when ``dense``, else from a sort of the keys.
     """
     if dense:
         count = np.bincount(key, minlength=cells)
         pos = np.bincount(key[:positives], minlength=cells)
-        if derived is not None:
-            cell, sibling, parent_count, parent_pos = derived
-            count[cell] = parent_count - count[sibling]
-            pos[cell] = parent_pos - pos[sibling]
         present = np.flatnonzero(count)
         return present, count[present], pos[present]
     present, count = np.unique(key, return_counts=True)
     positive_cell, positive_count = np.unique(key[:positives], return_counts=True)
     pos = np.zeros(present.size, dtype=np.int64)
     pos[np.searchsorted(present, positive_cell)] = positive_count
-    if derived is None:
-        return present, count, pos
-    cell, sibling, parent_count, parent_pos = derived
-    # the sibling's counts at each parent cell, zero where it has no rows
-    at = np.minimum(np.searchsorted(present, sibling), present.size - 1)
-    hit = present[at] == sibling
-    count_left = parent_count - np.where(hit, count[at], 0)
-    pos_left = parent_pos - np.where(hit, pos[at], 0)
-    keep = count_left > 0
-    return (np.concatenate((present, cell[keep])), np.concatenate((count, count_left[keep])),
-            np.concatenate((pos, pos_left[keep])))
+    return present, count, pos
 
 
-def _level_splits(values, columns, histogram, size, pos, criterion: str):
+class SplitTable:
+    """Split searches shared by the fits on one training set under one criterion.
+
+    A node is named by its path (see the module docstring), columns counted
+    in ``train.features``. Each path gets a small integer id (the root's is
+    0), interned from its parent's id and its last step. Each column that
+    varies on the training set has a slot (``slot[j]``); the constant ones
+    share one that is never scored. For path id p and slot s, ``scored[p, s]``
+    tells whether a fit has searched the column there; if so, ``gain[p, s]``
+    is the gain of its first-best split (-inf: no candidate), and
+    ``threshold``, ``cut`` (the rank of the largest value that goes left),
+    ``left_size`` and ``left_pos`` hold the rest of it. ``hits`` counts the
+    (node, column) searches served. Fits through one table run one at a time.
+
+    Only nodes holding at least ``_TABLE_MIN_SHARE`` (1%) of the n training
+    rows are looked up or kept, so a tree has at most 100 of them at each
+    depth. A path costs ``ENTRY_BYTES`` (29) per slot: 1,218 bytes when all
+    41 NSL-KDD features vary. Past ``_TABLE_MAX_BYTES`` (64 MiB) new paths
+    are scored but not kept.
+    """
+
+    # (name, dtype, value before a fit scores the slot) of each entry array
+    FIELDS = (("gain", np.float64, -np.inf), ("threshold", np.float64, 0.0),
+              ("cut", np.int32, 0), ("left_size", np.int32, 0), ("left_pos", np.int32, 0),
+              ("scored", np.bool_, False))
+    ENTRY_BYTES = sum(np.dtype(dtype).itemsize for _, dtype, _ in FIELDS)
+
+    def __init__(self, train: BinaryLabeledDataset, criterion: str) -> None:
+        check_criterion(criterion)
+        n, k = np.shape(train.features)
+        if n > np.iinfo(np.int32).max:
+            raise ValueError("a split table holds row counts as int32")
+        self.train, self.criterion = train, criterion
+        self.floor = _TABLE_MIN_SHARE * n
+        _, values = train.ranks.of(np.asarray(train.features, dtype=np.float64))
+        varying = [j for j, v in enumerate(values) if v.size > 1]
+        self.slot = np.full(k, len(varying), dtype=np.intp)
+        self.slot[varying] = np.arange(len(varying))
+        self.width = len(varying) + 1
+        self.max_paths = max(1, _TABLE_MAX_BYTES // (self.width * self.ENTRY_BYTES))
+        self._ids: dict[tuple[int, int, int, int], int] = {}  # (parent, column, cut, side) -> id
+        self.hits = 0
+        self._grow(1)
+
+    @property
+    def paths(self) -> int:
+        return len(self._ids) + 1
+
+    def _grow(self, capacity: int) -> None:
+        for name, dtype, empty in self.FIELDS:
+            old = getattr(self, name, np.empty((0, self.width), dtype=dtype))
+            added = np.full((capacity - len(old), self.width), empty, dtype=dtype)
+            setattr(self, name, np.concatenate((old, added)))
+
+    def child_paths(self, parent, column, cut, side) -> np.ndarray:
+        """Ids of the paths that extend ``parent`` by one step each, made on
+        first sight; -1 where the table is full."""
+        ids, out = self._ids, []
+        for key in zip(parent.tolist(), column.tolist(), cut.tolist(), side.tolist()):
+            path = ids.get(key, -1)
+            if path < 0 and len(ids) + 1 < self.max_paths:
+                path = ids[key] = len(ids) + 1
+            out.append(path)
+        if self.paths > len(self.gain):
+            self._grow(min(2 * self.paths, self.max_paths))
+        return np.array(out, dtype=np.intp)
+
+
+def _column_splits(values, cell, count, cell_pos, start, pos_before, size_f, pos_f, parent,
+                   criterion):
+    """One column's first-best split at every node of a level that has a
+    candidate, from its histogram: the nodes, then each one's gain, threshold,
+    cut rank (of the largest value that goes left), left size and positives.
+
+    Node i's cells follow ``start[i]`` rows and ``pos_before[i]`` positives of
+    the histogram; it holds ``size_f[i]`` rows, ``pos_f[i]`` positives and has
+    impurity ``parent[i]``. None when no node has a candidate.
+    """
+    at, rank = np.divmod(cell, values.size)
+    # a candidate pairs a present rank with the next one of the same node;
+    # the midpoint guards cover float collapse onto a neighbour for extreme
+    # adjacent values
+    candidates = np.flatnonzero(at[1:] == at[:-1])
+    lo, hi = values[rank[candidates]], values[rank[candidates + 1]]
+    thresholds = 0.5 * (lo + hi)  # may overflow (see fit): inf fails the guard below
+    valid = (thresholds >= lo) & (thresholds < hi)
+    candidates, thresholds, at = candidates[valid], thresholds[valid], at[candidates[valid]]
+    if not candidates.size:
+        return None
+    cand_size = np.cumsum(count)[candidates] - start[at]
+    cand_pos = np.cumsum(cell_pos)[candidates] - pos_before[at]
+    lp, ln, n = cand_pos.astype(np.float64), cand_size.astype(np.float64), size_f[at]
+    rn, rp = n - ln, pos_f[at] - lp
+    children = (
+        ln * _impurity_arrays(lp, ln, criterion) + rn * _impurity_arrays(rp, rn, criterion)
+    ) / n
+    gains = parent[at] - children
+    # candidates run node by node, each node's by threshold, so the first one
+    # at its node's maximum has the lowest threshold
+    first = np.flatnonzero(np.concatenate(([True], at[1:] != at[:-1])))
+    top = np.maximum.reduceat(gains, first)
+    hits = np.flatnonzero(gains == np.repeat(top, np.diff(np.append(first, at.size))))
+    chosen = hits[np.searchsorted(hits, first)]
+    return (at[chosen], top, thresholds[chosen], rank[candidates[chosen]], cand_size[chosen],
+            cand_pos[chosen])
+
+
+def _level_splits(values, ranks, columns, rows, node, root, size, pos, criterion,
+                  table=None, path=None):
     """Best split of every node of one level, from a histogram per column.
 
-    ``values[j]`` are column j's distinct values (``rank_columns``);
-    ``columns`` are searched in tie-break order. ``histogram(j, d)`` gives
-    column j's present cells at this level, ascending, with their rows and
-    positives: counted, or derived by subtraction, or the root table (see
-    ``_histogram``); node i holds ``size[i]`` rows and ``pos[i]`` positives.
-    Each column's cells are scored in one pass over all the level's nodes.
-    Returns per node the position in ``columns`` of the split column (-1: no
-    candidate), the threshold, the decrease, the left child's size and
-    positives, and the rank of the largest value that goes left; and each
-    column's histogram, which the next level's subtraction reads.
+    ``values[j]`` are column j's distinct values and ``ranks[j]`` each row's
+    rank among them (``rank_columns``); ``columns`` (an array) are searched in
+    tie-break order. ``rows`` are the level's rows, positives first, and
+    ``node`` the node of each; node i holds ``size[i]`` rows and ``pos[i]``
+    positives. At the root, ``root`` holds every column's histogram and
+    nothing is counted. With a ``table``, node i's path id is ``path[i]`` (-1:
+    not kept): the level's entries are read in one gather, a column is
+    counted and scored only at the nodes whose entry it lacks, and the new
+    entries are stored in one scatter. Returns per node the position in
+    ``columns`` of the split column (-1: no candidate), the threshold, the
+    decrease, the left child's size and positives, and the rank of the
+    largest value that goes left.
     """
     m = size.size
-    start, pos_before = np.cumsum(size) - size, np.cumsum(pos) - pos
     size_f, pos_f = size.astype(np.float64), pos.astype(np.float64)
     parent = _impurity_arrays(pos_f, size_f, criterion)
     feature = np.full(m, -1, dtype=np.intp)
     best, threshold = np.full(m, -np.inf), np.zeros(m)
     left_size, left_pos, cut = (np.zeros(m, dtype=np.int64) for _ in range(3))
-    histograms = {}
-    for f, j in enumerate(columns):
-        d = values[j].size
-        if d == 1:  # constant on the training set: no candidate anywhere
-            continue
-        cell, count, cell_pos = histograms[j] = histogram(j, d)
-        at, rank = np.divmod(cell, d)
-        # a candidate pairs a present rank with the next one of the same node;
-        # the midpoint guards cover float collapse onto a neighbour for
-        # extreme adjacent values
-        candidates = np.flatnonzero(at[1:] == at[:-1])
-        lo, hi = values[j][rank[candidates]], values[j][rank[candidates + 1]]
-        thresholds = 0.5 * (lo + hi)  # may overflow (see fit): inf fails the guard below
-        valid = (thresholds >= lo) & (thresholds < hi)
-        candidates, thresholds, at = candidates[valid], thresholds[valid], at[candidates[valid]]
-        if not candidates.size:
-            continue
-        cand_size = np.cumsum(count)[candidates] - start[at]
-        cand_pos = np.cumsum(cell_pos)[candidates] - pos_before[at]
-        lp, ln, n = cand_pos.astype(np.float64), cand_size.astype(np.float64), size_f[at]
-        rn, rp = n - ln, pos_f[at] - lp
-        children = (
-            ln * _impurity_arrays(lp, ln, criterion) + rn * _impurity_arrays(rp, rn, criterion)
-        ) / n
-        gains = parent[at] - children
-        # candidates run node by node, each node's by threshold, so the first
-        # one at its node's maximum has the lowest threshold
-        first = np.flatnonzero(np.concatenate(([True], at[1:] != at[:-1])))
-        top = np.maximum.reduceat(gains, first)
-        hits = np.flatnonzero(gains == np.repeat(top, np.diff(np.append(first, at.size))))
-        chosen = hits[np.searchsorted(hits, first)]
-        better = top > best[at[first]]  # strictly: on a tie the lower column wins
-        won, chosen = at[chosen[better]], chosen[better]
-        best[won], feature[won], threshold[won] = top[better], f, thresholds[chosen]
-        left_size[won], left_pos[won] = cand_size[chosen], cand_pos[chosen]
-        cut[won] = rank[candidates[chosen]]
-    return feature, threshold, best, left_size, left_pos, cut, histograms
+    tracked = np.flatnonzero(path >= 0) if table is not None else ()
+    known = np.zeros(columns.size, dtype=np.int64)  # nodes with an entry, by column
+    if len(tracked):
+        at, slots = path[tracked], table.slot[columns]
+        scored = table.scored[at[:, None], slots]
+        known = scored.sum(axis=0)
+        table.hits += int(known.sum())
+    if known.any():
+        has_entry = np.zeros((m, columns.size), dtype=bool)
+        has_entry[tracked] = scored
+        # each node's first best over the columns it has entries for
+        gains = table.gain[at[:, None], slots]
+        f = np.argmax(gains, axis=1)
+        won = np.flatnonzero(gains[np.arange(at.size), f] > -np.inf)
+        p, j, won, f = at[won], slots[f[won]], tracked[won], f[won]
+        best[won], feature[won], threshold[won] = table.gain[p, j], f, table.threshold[p, j]
+        cut[won], left_size[won], left_pos[won] = (table.cut[p, j], table.left_size[p, j],
+                                                   table.left_pos[p, j])
+    subsets = {}  # the counted nodes' rows, positives and offsets, by the nodes counted
 
+    def counted(need):
+        key = None if need is None else need.tobytes()
+        if key not in subsets:
+            count_rows, count_node, count_size, count_pos = rows, node, size, pos
+            if need is not None:
+                mine = need[node]
+                count_rows, count_node = rows[mine], node[mine]
+                count_size, count_pos = np.where(need, size, 0), np.where(need, pos, 0)
+            subsets[key] = (count_rows, count_node, count_pos.sum(),
+                            np.cumsum(count_size) - count_size, np.cumsum(count_pos) - count_pos)
+        return subsets[key]
 
-def _parent_cells(histograms, values, child, sibling, count_type) -> dict:
-    """The next level's ``derived`` input of ``_histogram``, by column: every
-    cell of a node with a derived child (``child[node] >= 0``), renumbered to
-    that child and to its counted sibling (``sibling[node]``)."""
-    derived = {}
-    for j, (cell, count, pos) in histograms.items():
+    scored_here, found = [], []  # the columns scored, and their candidates
+    for f, j in enumerate(columns.tolist()):
         d = values[j].size
-        at, rank = np.divmod(cell, d)
-        keep = np.flatnonzero(child[at] >= 0)
-        at, rank = at[keep], rank[keep]
-        derived[j] = (child[at] * d + rank, sibling[at] * d + rank,
-                      count[keep].astype(count_type), pos[keep].astype(count_type))
-    return derived
+        # constant on the training set (no candidate anywhere), or every
+        # node's entry was read above
+        if d == 1 or known[f] == m:
+            continue
+        need = ~has_entry[:, f] if known[f] else None
+        if root is not None:
+            histogram, start, pos_before = root[j], np.zeros(1, np.int64), np.zeros(1, np.int64)
+        else:
+            count_rows, count_node, positives, start, pos_before = counted(need)
+            cells = m * d
+            histogram = _histogram(count_node * d + ranks[j][count_rows], positives, cells,
+                                   cells <= _DENSE_CELLS_PER_ROW * count_rows.size)
+        split = _column_splits(values[j], *histogram, start, pos_before, size_f, pos_f,
+                               parent, criterion)
+        scored_here.append(f)
+        if split is None:
+            continue
+        found.append((f, split))
+        nodes, gain, thresholds, cuts, sizes, positives = split
+        # strictly better: on a tie the lower column wins, also against an
+        # entry of a higher column read above
+        held = best[nodes]
+        better = gain > held
+        if known.any():
+            better |= (gain == held) & (f < feature[nodes])
+        won = nodes[better]
+        best[won], feature[won], threshold[won] = gain[better], f, thresholds[better]
+        left_size[won], left_pos[won], cut[won] = sizes[better], positives[better], cuts[better]
+    if len(tracked) and scored_here:  # store what was scored at the kept nodes
+        table.scored[at[:, None], slots[scored_here]] = True
+        if found:
+            nodes, *fields = (np.concatenate(a) for a in zip(*(s for _, s in found)))
+            j = np.concatenate([np.full(s[0].size, slots[f]) for f, s in found])
+            kept = path[nodes] >= 0
+            p, j = path[nodes[kept]], j[kept]
+            for array, value in zip((table.gain, table.threshold, table.cut, table.left_size,
+                                     table.left_pos), fields):
+                array[p, j] = value[kept]
+    return feature, threshold, best, left_size, left_pos, cut
 
 
 def fit(train: BinaryLabeledDataset, criterion: str = "entropy",
-        columns: list[int] | None = None) -> DecisionTree:
+        columns: list[int] | None = None, table: SplitTable | None = None) -> DecisionTree:
     """Grow a tree on some columns of the training set, a level at a time.
 
     ``columns`` are positions in ``train.features`` (all of them when None);
     the tree's feature indices count within them. They are read out of the
     training set's rank table (``train.ranks``, made by the first fit on the
     matrix) and its root histograms (``train.root_histograms``, made by the
-    first fit on the labelled set), so no projected copy is built. The tree
-    is always grown to purity: a node becomes a leaf only when it is pure or
-    has no candidate split. Same inputs always give an identical tree.
+    first fit on the labelled set), so no projected copy is built. A
+    ``table`` made for this training set and criterion serves the split
+    searches earlier fits made and keeps this fit's. The tree is always grown
+    to purity: a node becomes a leaf only when it is pure or has no candidate
+    split. Same inputs always give an identical tree.
     """
     check_criterion(criterion)
     X = np.asarray(train.features, dtype=np.float64)
@@ -246,10 +365,12 @@ def fit(train: BinaryLabeledDataset, criterion: str = "entropy",
         raise ValueError("training data must contain at least one feature column")
     if X.shape[0] != y.size:
         raise ValueError("feature matrix and targets differ in length")
+    if table is not None and (table.train is not train or table.criterion != criterion):
+        raise ValueError("a split table serves only the training set and criterion "
+                         "it was made for")
     n = y.size
-    count_type = np.int32 if n <= np.iinfo(np.int32).max else np.int64  # of kept histograms
     ranks, values = train.ranks.of(X)
-    root = train.root_histograms.of(lambda: _root_histograms(ranks, values, y, count_type))
+    root = train.root_histograms.of(lambda: _root_histograms(ranks, values, y))
     column_of = np.asarray(columns)
 
     def is_open(size: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -258,34 +379,21 @@ def fit(train: BinaryLabeledDataset, criterion: str = "entropy",
     # per level: the nodes made (ids, sizes, positives) and the splits made
     made = [(np.array([0]), np.array([n]), np.array([np.count_nonzero(y)]))]
     splits = []
-    # the level's working nodes (ids, sizes, positives, open or not); the
-    # histograms of the first ``counted`` are counted from their rows and the
-    # others' derived from their parents' (the root's is the root table)
-    ids, size, pos = made[0]
-    is_open_node, counted = is_open(size, pos), 0
-    # the working nodes' rows, positives first, and the working node of each
-    rows = np.concatenate((np.flatnonzero(y), np.flatnonzero(~y)))
-    node = np.zeros(n, dtype=np.intp)
-    depth, derived = 0, {}
+    # the level's open nodes (ids, sizes, positives, path ids in the table),
+    # their rows, positives first, and the node of each row; the rows are
+    # made by the first row move, which a tree of one split never makes
+    root_open = is_open(*made[0][1:])
+    ids, size, pos = (a[root_open] for a in made[0])
+    path = np.zeros(size.size, dtype=np.intp)
+    rows = node = None
+    depth = 0
 
-    def histogram(j: int, d: int):
-        if not counted:
-            return root[j]
-        cells = size.size * d
-        return _histogram(count_node * d + ranks[j][count_rows], positives, cells,
-                          cells <= dense_cells, derived.get(j))
-
-    while is_open_node.any():
-        if counted:
-            count_rows, count_node = rows, node
-            if derived:
-                mine = node < counted
-                count_rows, count_node = rows[mine], node[mine]
-            positives, dense_cells = pos[:counted].sum(), _DENSE_CELLS_PER_ROW * rows.size
+    while size.size:
         with np.errstate(over="ignore"):  # an overflowing midpoint is no candidate
-            feature, threshold, decrease, left_size, left_pos, cut, histograms = _level_splits(
-                values, columns, histogram, size, pos, criterion)
-        split = (feature >= 0) & is_open_node
+            feature, threshold, decrease, left_size, left_pos, cut = _level_splits(
+                values, ranks, column_of, rows, node, None if depth else root, size, pos,
+                criterion, table, path)
+        split = feature >= 0
         if not split.any():
             break
         # children are numbered breadth-first: by parent id, left before right
@@ -298,48 +406,34 @@ def fit(train: BinaryLabeledDataset, criterion: str = "entropy",
         depth += 1
         ls, lp = left_size[split], left_pos[split]
         rs, rp = size[split] - ls, pos[split] - lp
-        left_open, right_open = is_open(ls, lp), is_open(rs, rp)
         # the children by (split node, side)
         child_id, child_size, child_pos, child_open = (
             np.array(pair).ravel("F") for pair in ((left_id, left_id + 1), (ls, rs), (lp, rp),
-                                                   (left_open, right_open)))
+                                                   (is_open(ls, lp), is_open(rs, rp))))
         made.append((child_id, child_size, child_pos))
-        # the next level's working nodes, in order: the open children, all
-        # counted; or, on a level whose open larger children hold enough rows,
-        # the smaller child of every split node with an open child, counted
-        # even when closed, then the open larger children, each derived as its
-        # parent minus its smaller sibling
-        small_left = ls <= rs  # on a tie the left child is the smaller
-        large_open = np.where(small_left, right_open, left_open)
-        if np.where(small_left, rs, ls)[large_open].sum() >= _MIN_DERIVED_ROWS:
-            first = 2 * np.arange(ls.size)
-            small = (first + ~small_left)[left_open | right_open]
-            order = np.r_[small, (first + small_left)[large_open]]
-            counted = small.size
-        else:
-            order = np.flatnonzero(child_open)
-            counted = order.size
+        order = np.flatnonzero(child_open)  # the next level's nodes
         if not order.size:
             break
-        ids, size, pos, is_open_node = (
-            a[order] for a in (child_id, child_size, child_pos, child_open))
-        split_node = np.flatnonzero(split)
+        if table is not None:  # the children's paths, kept for open ones above the floor
+            child_path = np.full(child_id.size, -1, dtype=np.intp)
+            step = np.repeat(np.flatnonzero(split), 2)
+            keep = np.flatnonzero(child_open & (path[step] >= 0) & (child_size >= table.floor))
+            if keep.size:
+                at = step[keep]
+                child_path[keep] = table.child_paths(path[at], column_of[feature[at]], cut[at],
+                                                     keep % 2)
+            path = child_path[order]
+        ids, size, pos = (a[order] for a in (child_id, child_size, child_pos))
         child = np.full(2 * feature.size, -1, dtype=np.intp)  # the next level's, by (node, side)
-        child[(2 * split_node[:, None] + (0, 1)).ravel()[order]] = np.arange(order.size)
+        child[(2 * np.flatnonzero(split)[:, None] + (0, 1)).ravel()[order]] = np.arange(order.size)
+        if rows is None:
+            rows = np.concatenate((np.flatnonzero(y), np.flatnonzero(~y)))
+            node = np.zeros(n, dtype=np.intp)
         # a row goes right when its rank in the split column is above the cut;
         # rows of a node without a split read any column and drop out
         right = ranks[column_of[feature[node]], rows] > cut[node]
         node = child[2 * node + right]
         rows, node = rows[node >= 0], node[node >= 0]
-        derived = {}
-        if counted < order.size:
-            parent = split_node[large_open]
-            derived_child, counted_sibling = (np.full(feature.size, -1, dtype=np.intp)
-                                              for _ in range(2))
-            derived_child[parent] = np.arange(counted, order.size)
-            counted_sibling[parent] = (np.cumsum(left_open | right_open) - 1)[large_open]
-            derived = _parent_cells(histograms, values, derived_child, counted_sibling,
-                                    count_type)
 
     node, node_size, node_pos = map(np.concatenate, zip(*made))
     counts = np.empty((node.size, 2), dtype=np.int64)

@@ -458,15 +458,16 @@ def test_cli_ga_mode_reports_evaluation_counts(tmp_path, synth_files, capsys):
     result = run_experiment(ga_cfg(synth_files, pop=8, generations=4, target="burst"))
     assert result.requested == 8 * len(result.history) == 40
     assert result.requested == result.exact_hits + result.memo_hits + result.fitted
-    assert result.fitted < result.requested
+    assert result.fitted < result.requested and result.split_hits > 0
     fixed = run_experiment(fixed_cfg(synth_files))
-    assert (fixed.requested, fixed.exact_hits, fixed.memo_hits, fixed.fitted) == (1, 0, 0, 1)
+    assert (fixed.requested, fixed.exact_hits, fixed.memo_hits, fixed.fitted,
+            fixed.split_hits) == (1, 0, 0, 1, 0)
     assert run_cli(
         "--train", train, "--test", test, "--mode", "ga", "--attack", "burst",
         "--pop", 8, "--generations", 4, "--seed", 3, "--out", tmp_path / "out",
     ) == 0
     out = capsys.readouterr().out.splitlines()
-    line = ("evaluations requested=40 exact_hits={} memo_hits={} fitted={}"
-            .format(result.exact_hits, result.memo_hits, result.fitted))
+    line = ("evaluations requested=40 exact_hits={} memo_hits={} fitted={} split_hits={}"
+            .format(result.exact_hits, result.memo_hits, result.fitted, result.split_hits))
     assert line in out
     assert (tmp_path / "out" / "run.log").read_text().splitlines()[-1] == line

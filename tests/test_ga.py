@@ -276,14 +276,12 @@ def test_run_is_bit_exact_per_seed(tiny_sets):
     assert a.history == b.history
 
 
-def test_run_cache_and_workers_do_not_change_results(tiny_sets):
+def test_run_cache_does_not_change_results(tiny_sets):
     train, test = tiny_sets
     cfg = GAConfig(seed=9, population_size=12, generations=4,
                    early_stop_fitness=-1.0)
-    base = run(cfg, train, test, use_cache=True)
-    no_cache = run(cfg, train, test, use_cache=False)
-    assert no_cache.best.mask == base.best.mask
-    assert no_cache.history == base.history
+    assert_same_run(run(cfg, train, test, use_cache=True),
+                    run(cfg, train, test, use_cache=False))
 
 
 def test_run_history_is_monotone_and_bounded(tiny_sets):
@@ -362,6 +360,7 @@ def test_memo_matches_uncached_runs_with_fewer_fits(request, monkeypatch, target
         assert memo.requested == uncached.requested == uncached.fitted == uncached_fits
         assert memo.requested == memo.exact_hits + memo.memo_hits + memo.fitted
         assert memo.memo_hits > 0 and memo_fits == memo.fitted < uncached_fits
+        assert memo.split_hits > 0 and uncached.split_hits == 0
 
 
 def test_memo_serves_leaf_trees_but_never_the_empty_mask(tiny_sets):
@@ -443,7 +442,8 @@ def test_memo_lives_for_one_run(synth_flood, synth_burst):
     run(cfg, *synth_flood)  # the same seed asks for the same first masks
     again = run(cfg, *synth_burst)
     assert_same_run(again, run(cfg, *synth_burst, use_cache=False))
-    assert (again.exact_hits, again.memo_hits, again.fitted) == \
-        (first.exact_hits, first.memo_hits, first.fitted)
+    assert (again.exact_hits, again.memo_hits, again.fitted, again.split_hits) == \
+        (first.exact_hits, first.memo_hits, first.fitted, first.split_hits)
+    assert first.split_hits > 0
     gini = dataclasses.replace(cfg, criterion="gini")
     assert_same_run(run(gini, *synth_burst), run(gini, *synth_burst, use_cache=False))

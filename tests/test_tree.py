@@ -15,7 +15,7 @@ from gafs.ga import compute_fitness
 from gafs.nslkdd import (
     BinaryLabeledDataset, FeatureMask, mask_columns, project, rank_columns, relabel,
 )
-from gafs.tree import CRITERIA, fit, impurity, predict_batch
+from gafs.tree import CRITERIA, SplitTable, fit, impurity, predict_batch
 
 from oracles import bfs_arrays, brute_force_splits, pernode_fit, predict
 
@@ -262,10 +262,9 @@ def test_masked_out_features_cannot_affect_predictions(synth_flood):
 
 
 def assert_same_tree(data, criterion, extreme=False, dense_bounds=(None,)):
-    """``fit`` gives the per-node reference's tree, array bytes and all, both
-    as it is (on sets this small every node is counted) and with every open
-    larger child's histogram derived from its parent's; under each of
-    ``dense_bounds`` on the dense histogram cells (None: the module's).
+    """``fit`` gives the per-node reference's tree, array bytes and all, under
+    each of ``dense_bounds`` on the dense histogram cells (None: the
+    module's).
 
     With ``extreme``, the verbatim reference may overflow a midpoint and warn;
     ``fit`` itself must stay silent.
@@ -275,8 +274,6 @@ def assert_same_tree(data, criterion, extreme=False, dense_bounds=(None,)):
         with mock.patch.object(tree_module, "_DENSE_CELLS_PER_ROW",
                                tree_module._DENSE_CELLS_PER_ROW if dense is None else dense):
             trees.append(fit(data, criterion))
-            with mock.patch.object(tree_module, "_MIN_DERIVED_ROWS", 0):
-                trees.append(fit(data, criterion))
     with np.errstate(over="ignore") if extreme else contextlib.nullcontext():
         reference = pernode_fit(data, criterion)
     arrays = bfs_arrays(reference.root)
@@ -416,29 +413,22 @@ def test_constant_columns_before_the_winning_column():
         assert not np.isin(tree.feature, [0, 1, 3]).any()
 
 
-def test_equal_size_siblings_match_pernode_reference(monkeypatch):
+def test_equal_size_siblings_match_pernode_reference():
     # the rows are a cube of binary columns, so every split halves its node
-    # and either child could be the counted one
     bits = (np.arange(64)[:, None] >> np.arange(6)) & 1
     y = (bits[:, 0] ^ bits[:, 1] ^ (bits[:, 2] & bits[:, 3])).astype(bool)
-    derived = []
-    real = tree_module._parent_cells
-    monkeypatch.setattr(tree_module, "_parent_cells",
-                        lambda *a: derived.append(1) or real(*a))
     for criterion in CRITERIA:
         tree = assert_same_tree(binary(bits, y), criterion)
         inner = np.flatnonzero(tree.feature >= 0)
         sizes = tree.counts.sum(axis=1)
         assert np.array_equal(sizes[tree.left[inner]], sizes[tree.right[inner]])
         assert tree.depth >= 3
-    assert derived
 
 
-def test_closed_or_unsplittable_siblings_match_pernode_reference(monkeypatch):
+def test_closed_or_unsplittable_siblings_match_pernode_reference():
     # blocks of rows that the trees split apart: a pure smaller child beside
-    # an open larger one (the closed child is counted for its sibling), a
-    # pure larger child, and an open larger child of identical rows, which
-    # has no candidate
+    # an open larger one, a pure larger child, and an open larger child of
+    # identical rows, which has no candidate
     def block(x0, n, y, identical=False):
         rest = [np.zeros(n)] * 2 if identical else [np.arange(n) % 3, np.arange(n) % 2]
         return np.column_stack([np.full(n, x0), *rest]), np.asarray(y, bool)
@@ -449,16 +439,101 @@ def test_closed_or_unsplittable_siblings_match_pernode_reference(monkeypatch):
         [block(0.0, 12, np.arange(12) % 2 == 0, identical=True),
          block(1.0, 5, [1, 0, 1, 1, 0])],
     ]
-    derived = []
-    real = tree_module._parent_cells
-    monkeypatch.setattr(tree_module, "_parent_cells",
-                        lambda *a: derived.append(1) or real(*a))
     for blocks in cases:
         X = np.concatenate([b[0] for b in blocks] + [b[0] for b in blocks[::-1]])
         y = np.concatenate([b[1] for b in blocks] + [b[1] for b in blocks[::-1]])
         for criterion in CRITERIA:
             assert_same_tree(binary(X, y), criterion)
-    assert derived
+
+
+# ----------------------------------------------------------- the split table
+
+
+def assert_same_through_table(data, criterion, column_sets, extreme=False, min_share=0,
+                              max_bytes=tree_module._TABLE_MAX_BYTES):
+    """Fitting ``column_sets`` in order through one split table, with no
+    node-size floor unless ``min_share`` sets one, gives for each the tree of
+    a table-free ``fit`` and of the per-node reference, array bytes and all.
+    Returns the table."""
+    with mock.patch.multiple(tree_module, _TABLE_MIN_SHARE=min_share,
+                             _TABLE_MAX_BYTES=max_bytes):
+        table = SplitTable(data, criterion)
+    X = np.asarray(data.features)
+    for columns in column_sets:
+        got, alone = fit(data, criterion, columns, table), fit(data, criterion, columns)
+        projected = BinaryLabeledDataset(X[:, columns], data.targets,
+                                         tuple(data.feature_names[j] for j in columns))
+        with np.errstate(over="ignore") if extreme else contextlib.nullcontext():
+            reference = pernode_fit(projected, criterion)
+        arrays = bfs_arrays(reference.root)
+        for name in TREE_ARRAYS:
+            want = arrays[name].tobytes()
+            assert getattr(got, name).tobytes() == getattr(alone, name).tobytes() == want, name
+        assert (got.node_count, got.depth, got.feature_names) == \
+            (alone.node_count, alone.depth, alone.feature_names)
+        assert (got.node_count, got.depth) == (reference.node_count, reference.depth)
+    return table
+
+
+@pytest.mark.parametrize("target", ["flood", "burst"])
+def test_fits_through_one_split_table_match_table_free_fits(request, target):
+    train, _ = request.getfixturevalue(f"synth_{target}")
+    k = train.features.shape[1]
+    constant = [j for j in range(k) if np.ptp(train.features[:, j]) == 0.0]
+    rng = np.random.default_rng(3)
+    column_sets = [sorted(rng.choice(k, rng.integers(1, k + 1), replace=False).tolist())
+                   for _ in range(8)]
+    # constant columns alone (a leaf), beside the strongest columns, and a
+    # mask fitted twice, whose second fit reads every entry it needs
+    column_sets += [constant, sorted(constant + [4, 7, 22]), column_sets[0]]
+    for criterion in CRITERIA:
+        order = [column_sets[i] for i in rng.permutation(len(column_sets))]
+        table = assert_same_through_table(train, criterion, order)
+        assert table.hits > 0 and table.paths > 1
+        # a node-size floor keeps fewer paths
+        floored = assert_same_through_table(train, criterion, order, min_share=0.05)
+        assert 1 < floored.paths < table.paths
+    # a table that is full after three paths scores the other nodes afresh
+    cap = 3 * SplitTable(train, "gini").width * SplitTable.ENTRY_BYTES
+    table = assert_same_through_table(train, "gini", column_sets[:4], max_bytes=cap)
+    assert table.paths == 3 and table.hits > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(instance=tied_instances, criterion=st.sampled_from(["entropy", "gini"]),
+       draw=st.randoms(use_true_random=False))
+def test_split_table_matches_on_tied_matrices(instance, criterion, draw):
+    rows, y = instance
+    k = len(rows[0])
+    column_sets = [sorted(draw.sample(range(k), draw.randint(1, k))) for _ in range(5)]
+    assert_same_through_table(binary(rows, y), criterion, column_sets)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    instance=st.integers(min_value=2, max_value=30).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(st.sampled_from(EXTREME_VALUES), min_size=3, max_size=3),
+                     min_size=n, max_size=n),
+            st.lists(st.booleans(), min_size=n, max_size=n),
+        )
+    ),
+    criterion=st.sampled_from(["entropy", "gini"]),
+    draw=st.randoms(use_true_random=False),
+)
+def test_split_table_matches_on_extreme_adjacent_floats(instance, criterion, draw):
+    rows, y = instance
+    column_sets = [sorted(draw.sample(range(3), draw.randint(1, 3))) for _ in range(5)]
+    assert_same_through_table(binary(rows, y), criterion, column_sets, extreme=True)
+
+
+def test_split_table_serves_one_training_set_and_criterion(synth_flood, synth_burst):
+    train, _ = synth_flood
+    table = SplitTable(train, "entropy")
+    fit(train, "entropy", [4, 7], table)
+    for data, criterion in ((train, "gini"), (synth_burst[0], "entropy")):
+        with pytest.raises(ValueError, match="split table serves only"):
+            fit(data, criterion, [4, 7], table)
 
 
 def test_predict_batch_agrees_with_predict_on_deep_trees(synth_burst):
