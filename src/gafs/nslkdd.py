@@ -3,8 +3,10 @@
 Input files are comma-separated text with no header: 41 feature columns
 followed by the attack label, and in the commonly distributed variants a
 trailing difficulty score (42 or 43 columns total), which is checked and
-dropped. Loading is columnar: ``parse_file`` checks every field and returns
-the numeric columns as one float matrix and the symbolic ones as strings,
+dropped. Loading is columnar: ``parse_file`` reads the numeric columns as
+one float matrix and the symbolic ones as strings with numpy's C reader,
+checks every rule of the format on its result, and hands any file that fails
+a rule to a block-by-block checker that names the line at fault;
 ``build_codebook`` numbers the training set's symbolic values, and ``encode``
 maps the symbolic columns through the codebook beside the numeric ones. An
 encoded set's rank table (``ColumnRanks``), which the trees read, is made by
@@ -48,10 +50,16 @@ SYMBOLIC_COLUMNS: tuple[str, ...] = ("protocol_type", "service", "flag")
 # The other 38 feature columns, parsed as numbers, in file order.
 NUMERIC_COLUMNS = tuple(name for name in FEATURE_NAMES if name not in SYMBOLIC_COLUMNS)
 _NUMERIC_INDEX = [FEATURE_NAMES.index(name) for name in NUMERIC_COLUMNS]
+_SYMBOLIC_INDEX = [FEATURE_NAMES.index(name) for name in SYMBOLIC_COLUMNS]
 
-# Lines split into fields at a time by parse_file; splitting a whole file at
-# once holds all its field strings together (~150 MB more peak for KDDTrain+).
+# Lines split into fields at a time by the checker that parse_file falls back
+# to; splitting a whole file at once holds all its field strings together
+# (~150 MB more peak for KDDTrain+).
 _BLOCK_LINES = 2048
+
+# np.loadtxt takes these around a number as whitespace, where float() rejects
+# the field; a file holding one is read by the checker.
+_LOADTXT_MISREADS = "\x1c\x1d\x1e\x1f"
 
 # Alternate names used in the bundled reference reports for a subset of the
 # features; every feature not listed here keeps its canonical name.
@@ -286,14 +294,26 @@ def parse_file(path: str | Path, role: str = "") -> RawDataset:
     labels and symbolic fields is stripped. Any other defect, including a
     blank line before the last row and a numeric field that does not parse
     to a finite number, raises ParseError naming the file and line.
+
+    The whole file is read by ``np.loadtxt``. A file on which it fails, or
+    whose result breaks one of these rules, is parsed again by
+    ``_parse_block`` a block of lines at a time, which decides whether it is
+    accepted and words the error.
     """
     path = Path(path)
     # split on "\n" only, so line numbers match what an editor shows; a "\r"
     # before it ends the last field, which is stripped
     with open(path, encoding="utf-8-sig", newline="") as handle:
-        lines = handle.read().split("\n")
+        text = handle.read()
+    lines = text.split("\n")
     while lines and not lines[-1].strip():
         lines.pop()
+    # the reader warns on empty input and misreads a few characters
+    readable = bool(lines) and not any(char in text for char in _LOADTXT_MISREADS)
+    del text
+    loaded = _load_columns(lines, role) if readable else None
+    if loaded is not None:
+        return loaded
     numeric = np.empty((len(lines), len(NUMERIC_COLUMNS)), dtype=np.float64)
     symbolic: dict[str, list[str]] = {name: [] for name in SYMBOLIC_COLUMNS}
     labels: list[str] = []
@@ -302,6 +322,37 @@ def parse_file(path: str | Path, role: str = "") -> RawDataset:
         _parse_block(block, path.name, start, numeric[start:start + len(block)],
                      symbolic, labels)
     return RawDataset(numeric=numeric, symbolic=symbolic, labels=tuple(labels), role=role)
+
+
+def _load_columns(lines: list[str], role: str) -> RawDataset | None:
+    """``lines`` read by ``np.loadtxt``, or None if it fails or a line breaks a
+    rule that ``_parse_block`` checks."""
+    commas = [line.count(",") for line in lines]
+    if not set(commas).issubset((N_FEATURES, N_FEATURES + 1)):
+        return None  # a blank or ragged line, which loadtxt would skip or accept
+    # max_rows sizes each result at once; dtype=object makes each field one
+    # str, where dtype=str reads object chunks and casts them to a fixed width
+    read = functools.partial(np.loadtxt, lines, delimiter=",", comments=None,
+                             ndmin=2, max_rows=len(lines))
+    try:
+        numeric = read(dtype=np.float64, usecols=_NUMERIC_INDEX)
+        strings = read(dtype=object, usecols=[*_SYMBOLIC_INDEX, N_FEATURES])
+    except ValueError:
+        return None
+    if not np.isfinite(numeric).all():
+        return None
+    columns = [_stripped(column.tolist()) for column in strings.T]
+    if any("" in column for column in columns):
+        return None
+    difficulties = {line.rpartition(",")[2]
+                    for line, count in zip(lines, commas) if count == N_FEATURES + 1}
+    try:
+        for value in difficulties:
+            int(value.strip())
+    except ValueError:
+        return None
+    return RawDataset(numeric=numeric, symbolic=dict(zip(SYMBOLIC_COLUMNS, columns)),
+                      labels=tuple(columns[-1]), role=role)
 
 
 def _parse_block(lines: list[str], file_name: str, first: int, numeric: np.ndarray,
@@ -402,11 +453,9 @@ def relabel(data: Dataset, target_attacks) -> BinaryLabeledDataset:
     wanted = frozenset(name.strip().lower() for name in target_attacks)
     if not wanted or not any(wanted):
         raise ValueError("target attack set is empty: no positive class to learn")
-    targets = np.fromiter(
-        (label.strip().lower() in wanted for label in data.labels),
-        dtype=bool,
-        count=len(data.labels),
-    )
+    positive = {label: label.strip().lower() in wanted for label in set(data.labels)}
+    targets = np.fromiter(map(positive.__getitem__, data.labels), dtype=bool,
+                          count=len(data.labels))
     return BinaryLabeledDataset(
         features=data.features,
         targets=targets,

@@ -1,4 +1,5 @@
 import json
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -135,9 +136,16 @@ def test_parse_error_line_numbers_span_blocks(tmp_path):
 
 
 def test_parse_empty_file(tmp_path):
-    path = tmp_path / "empty.txt"
-    path.write_text("")
-    assert len(parse_file(path)) == 0
+    empty, blank = tmp_path / "empty.txt", tmp_path / "blank.txt"
+    empty.write_text("")
+    blank.write_text("\n  \n\t\r\n")
+    # np.loadtxt warns on empty input, so parse_file must not call it here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for path in (empty, blank):
+            raw = parse_file(path)
+            assert len(raw) == 0
+            assert raw.numeric.shape == (0, len(NUMERIC_COLUMNS))
 
 
 def test_parse_wrong_column_count_names_line(tmp_path):
@@ -173,6 +181,78 @@ def test_parse_bad_difficulty_rejected(tmp_path):
 def test_parse_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         parse_file(tmp_path / "nope.txt")
+
+
+# ------------------------------------------- C reader against block checker
+
+
+def with_field(column, value, **fields):
+    """make_line(**fields) with the field in file ``column`` set to ``value``."""
+    parts = make_line(**fields).split(",")
+    parts[column] = value
+    return ",".join(parts)
+
+
+def parse_outcome(path):
+    """parse_file's numeric bytes, symbolic values and labels, or its error."""
+    try:
+        raw = parse_file(path)
+    except ParseError as error:
+        return str(error)
+    return raw.numeric.dtype, raw.numeric.shape, raw.numeric.tobytes(), raw.symbolic, raw.labels
+
+
+_LINE, _LINE_43 = make_line(), make_line(label="pod", difficulty=7)
+
+# (file text, whether parse_file must fall back to the block checker)
+_READER_CASES = {
+    # float() accepts these and np.loadtxt rejects them
+    "underscore": (with_field(0, "1_0") + "\n", True),
+    "arabic-indic digits": (with_field(4, "\u0661\u0662") + "\n", True),
+    "fullwidth digits": (with_field(5, "\uff11\uff12") + "\n", True),
+    "field ending in cr": (with_field(0, "3\r") + "\n", True),
+    "cr inside a label": (make_line(label="nor\rmal") + "\n", True),
+    # np.loadtxt accepts these as whitespace around a number; float() does not
+    "file separator around a number": (with_field(0, "\x1c1") + "\n", True),
+    "unit separator after a number": (with_field(4, "1\x1f") + "\n", True),
+    # a fixed-width string array would drop the trailing NULs
+    "trailing nul in a label": (make_line(label="normal\x00") + "\n", False),
+    "nul in a number": (with_field(4, "1\x00") + "\n", True),
+    # plain text to both readers
+    "hash in a label": (make_line(label="nor#mal") + "\n" + _LINE + "\n", False),
+    "quotes in a label": (make_line(label='"normal"') + "\n" + _LINE + "\n", False),
+    "quote in a service": (make_line(service='ht"tp') + "\n", False),
+    "spaced symbolic fields": (make_line(protocol=" tcp", flag="SF ") + "\n", False),
+    "spaced numbers": (with_field(0, " 7 ") + "\n", False),
+    # defects, worded by the block checker
+    "ragged row": (_LINE + "\n1,2,3\n" + _LINE + "\n", True),
+    "too many columns": (_LINE + "\n" + _LINE_43 + ",9\n", True),
+    "interior blank line": (_LINE + "\n\n" + _LINE + "\n", True),
+    "whitespace-only line": (_LINE + "\n \t\n" + _LINE + "\n", True),
+    "empty numeric field": (with_field(5, "") + "\n", True),
+    "blank service": (make_line(service=" ") + "\n", True),
+    "blank label": (_LINE + "\n" + make_line(label="  ") + "\n", True),
+    "non-finite number": (_LINE + "\n" + with_field(4, "1e999") + "\n", True),
+    "bad difficulty": (_LINE_43 + "\n" + make_line(difficulty="7.5") + "\n", True),
+    # accepted variants the C reader handles
+    "crlf": (_LINE_43 + "\r\n" + _LINE + "\r\n", False),
+    "mixed 42 and 43 columns": ("\n".join([_LINE, _LINE_43, _LINE, _LINE_43]) + "\n", False),
+    "spaced difficulty": (make_line(difficulty=" 3 ") + "\n", False),
+    "bom": ("\ufeff" + _LINE_43 + "\n" + _LINE + "\n\n", False),
+}
+
+
+@pytest.mark.parametrize("case", _READER_CASES)
+def test_c_reader_matches_block_checker(tmp_path, case):
+    text, falls_back = _READER_CASES[case]
+    path = tmp_path / "case.txt"
+    path.write_bytes(text.encode())
+    with mock.patch.object(nslkdd, "_parse_block", wraps=nslkdd._parse_block) as spy:
+        got = parse_outcome(path)
+    assert spy.called == falls_back
+    with mock.patch.object(nslkdd, "_load_columns", return_value=None):
+        expected = parse_outcome(path)
+    assert got == expected
 
 
 # ------------------------------------------------------------------ codebook
@@ -350,6 +430,12 @@ def _nslkdd_lines(symbols):
     return st.lists(parts.map(line), min_size=1, max_size=8)
 
 
+# numbers that float(), and so the row-wise reference, reads but np.loadtxt
+# rejects: a file holding one is parsed by the block checker
+_float_only_number = st.sampled_from(["1_0", "1_000.5", "\u0661\u0662", "\u0663.\u0665",
+                                      "\uff11\uff12", "-\uff17"])
+
+
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
@@ -358,17 +444,30 @@ def _nslkdd_lines(symbols):
     newline=st.sampled_from(["\n", "\r\n"]),
     final_newline=st.booleans(),
     block_lines=st.integers(min_value=1, max_value=5),
+    float_only=st.none() | st.tuples(
+        _float_only_number, st.integers(min_value=0, max_value=7),
+        st.sampled_from(nslkdd._NUMERIC_INDEX)),
 )
 def test_columnar_load_matches_rowwise_reference_property(
-        tmp_path, train, test, newline, final_newline, block_lines):
+        tmp_path, train, test, newline, final_newline, block_lines, float_only):
+    if float_only is not None:  # put the number into one field of the training file
+        number, row, column = float_only
+        train, row = list(train), row % len(train)
+        fields = train[row].split(",")
+        fields[column] = number
+        train[row] = ",".join(fields)
     paths = []
     for name, lines in (("train.txt", train), ("test.txt", test)):
         path = tmp_path / name
         path.write_bytes((newline.join(lines) + (newline if final_newline else "")).encode())
         paths.append(path)
     expected = rowwise_load(*paths)
-    with mock.patch.object(nslkdd, "_BLOCK_LINES", block_lines):
+    with mock.patch.object(nslkdd, "_BLOCK_LINES", block_lines), \
+            mock.patch.object(nslkdd, "_parse_block", wraps=nslkdd._parse_block) as spy:
         assert_same_load(expected, columnar_load(*paths))
+    # clean files take the C reader
+    fell_back = {call.args[1] for call in spy.call_args_list}
+    assert fell_back == (set() if float_only is None else {"train.txt"})
 
 
 # ------------------------------------------------------------------- relabel
