@@ -9,7 +9,8 @@ individual can never get worse.
 Random draws for selection, crossover and mutation are made sequentially
 from one seeded stream before a generation is evaluated, and evaluations
 are pure, so neither the fitness memo nor the split table can change the
-outcome of a run.
+outcome of a run: the memo serves a mask only when earlier fits prove that
+it grows the same tree (``FitnessMemo``).
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ class GAResult:
     history: tuple[float, ...]  # best fitness at init and after each generation
     requested: int  # masks the search asked to evaluate
     exact_hits: int  # served by an evaluation of the same mask
-    memo_hits: int  # served by the tree of a larger mask (FitnessMemo)
+    memo_hits: int  # served by the tree of other masks that grew it (FitnessMemo)
     fitted: int  # passed to compute_fitness
     split_hits: int  # (node, column) split searches served by the SplitTable
 
@@ -122,46 +123,44 @@ def compute_fitness(
 class FitnessMemo:
     """Evaluations of one run, served to every mask known to grow the same tree.
 
-    Say the tree fitted for mask M splits only on features U. Every mask X
-    with U <= X <= M grows that tree too: dropping features that won no node
-    leaves each node's first best split (lowest feature index, then lowest
-    threshold) in place. So a non-empty X takes M's fitness, confusion and
-    metrics without a fit, keeping its own mask and selected_count; X = M is
-    an exact repeat. Entries are grouped by U, and a group keeps only its
-    largest masks: whatever a smaller M of the group serves, a larger one
-    serves too. Masks are int bitmasks. Only ``lookup`` counts hits, and
-    ``add`` follows a missed lookup: no entry of the group serves the mask yet.
+    Say the trees fitted for masks M1, M2, ... split only on features U. Each
+    is the tree of U: at every node, each column of each Mi lost to the split
+    (a lower gain, or an equal gain and a higher index), and at every impure
+    leaf none had a candidate. Both hold per column on the node's rows, which
+    its path fixes, so every non-empty X with U <= X <= M1 | M2 | ... grows
+    that tree too and takes its fitness, confusion and metrics without a fit,
+    keeping its own mask and selected_count. At most one group serves X: a
+    tree has one used set. Each fitted mask also keeps its own evaluation,
+    which alone serves the empty mask and counts repeats as exact hits. Masks
+    are int bitmasks; ``add`` follows a missed ``lookup``.
     """
 
     def __init__(self) -> None:
-        self._groups: dict[int, dict[int, EvaluatedIndividual]] = {}  # U -> M -> result
+        self._exact: dict[int, EvaluatedIndividual] = {}  # fitted mask -> result
+        self._groups: dict[int, tuple[int, EvaluatedIndividual]] = {}  # U -> (union, result)
         self.exact_hits = 0
         self.memo_hits = 0
 
     def lookup(self, mask: FeatureMask) -> EvaluatedIndividual | None:
         x = mask.bitmask
-        served = None
-        for used, fitted in self._groups.items():
-            if used & ~x:
-                continue
-            if x in fitted:
-                self.exact_hits += 1
-                return fitted[x]
-            if served is None and x:  # only its own evaluation serves the empty mask
-                served = next((r for m, r in fitted.items() if not x & ~m), None)
-        if served is None:
-            return None
-        self.memo_hits += 1
-        return dataclasses.replace(served, mask=mask, selected_count=mask.selected_count)
+        if x in self._exact:
+            self.exact_hits += 1
+            return self._exact[x]
+        if x:  # only its own evaluation serves the empty mask
+            for used, (union, served) in self._groups.items():
+                if not used & ~x and not x & ~union:
+                    self.memo_hits += 1
+                    return dataclasses.replace(served, mask=mask,
+                                               selected_count=mask.selected_count)
+        return None
 
     def add(self, individual: EvaluatedIndividual) -> None:
-        used = individual.used_features
-        group = self._groups.setdefault(0 if used is None else used.bitmask, {})
         x = individual.mask.bitmask
-        if x:  # the empty mask stays apart: it has no tree
-            for m in [m for m in group if m and not m & ~x]:
-                del group[m]
-        group[x] = individual
+        self._exact[x] = individual
+        if x:  # the empty mask has no tree
+            used = individual.used_features.bitmask
+            union, served = self._groups.get(used, (0, individual))
+            self._groups[used] = (union | x, served)
 
 
 def _evaluate(

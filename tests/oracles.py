@@ -7,6 +7,7 @@ with the implementation paths they check.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
 from dataclasses import dataclass, field
@@ -306,3 +307,40 @@ def predict(tree, features) -> bool:
         go_left = x[tree.feature[node]] <= tree.threshold[node]
         node = tree.left[node] if go_left else tree.right[node]
     return bool(tree.predicted[node])
+
+
+# The subset-rule fitness memo that ``gafs.ga.FitnessMemo``'s union rule
+# replaced, kept as the oracle of what the memo must at least serve.
+class SubsetMemo:
+    """Serves a non-empty X when one fitted M with used features U has
+    U <= X <= M; a group of one U keeps only its largest masks."""
+
+    def __init__(self) -> None:
+        self._groups: dict = {}  # U -> M -> result
+        self.exact_hits = 0
+        self.memo_hits = 0
+
+    def lookup(self, mask):
+        x = mask.bitmask
+        served = None
+        for used, fitted in self._groups.items():
+            if used & ~x:
+                continue
+            if x in fitted:
+                self.exact_hits += 1
+                return fitted[x]
+            if served is None and x:  # only its own evaluation serves the empty mask
+                served = next((r for m, r in fitted.items() if not x & ~m), None)
+        if served is None:
+            return None
+        self.memo_hits += 1
+        return dataclasses.replace(served, mask=mask, selected_count=mask.selected_count)
+
+    def add(self, individual) -> None:
+        used = individual.used_features
+        group = self._groups.setdefault(0 if used is None else used.bitmask, {})
+        x = individual.mask.bitmask
+        if x:  # the empty mask stays apart: it has no tree
+            for m in [m for m in group if m and not m & ~x]:
+                del group[m]
+        group[x] = individual

@@ -21,6 +21,7 @@ from gafs.metrics import ranking_key
 from gafs.nslkdd import N_FEATURES, FeatureMask
 
 from conftest import tiny_binary41
+from oracles import SubsetMemo
 
 
 class FakeRng:
@@ -388,7 +389,43 @@ def test_memo_serves_leaf_trees_but_never_the_empty_mask(tiny_sets):
     assert (best.selected_count, best.fitness, best.cm, best.used_features) == (0, 1.0, None, None)
 
 
-def test_memo_keeps_only_the_largest_mask_of_a_group(tiny_sets):
+SERVED_FIELDS = ("fitness", "cm", "metrics", "used_features", "mask", "selected_count")
+
+
+def assert_same_evaluation(served, fresh):
+    for name in SERVED_FIELDS:
+        assert getattr(served, name) == getattr(fresh, name), name
+
+
+@pytest.mark.parametrize("sets, a, b, x, outside", [
+    # tiny_sets: columns 1-3 and 6 are constant, so they never win a node
+    ("tiny_sets", [0, 1, 2, 5], [0, 3, 5, 6], [0, 2, 3, 5], 9),
+    # synth_flood: column 7 separates the target, every other column loses
+    ("synth_flood", [0, 1, 7], [7, 22, 23], [1, 7, 22], 28),
+], ids=["tiny_sets", "synth_flood"])
+def test_memo_serves_masks_between_a_group_and_its_union(request, monkeypatch, sets, a, b, x,
+                                                          outside):
+    train, test = request.getfixturevalue(sets)
+    a, b, x = (FeatureMask.from_indices(m) for m in (a, b, x))
+    fitted_a, fitted_b = (compute_fitness(m, train, test) for m in (a, b))
+    used = fitted_a.used_features
+    assert used == fitted_b.used_features  # one group
+    assert used.bitmask & ~x.bitmask == 0 and x.bitmask & ~(a.bitmask | b.bitmask) == 0
+    assert x.bitmask & ~a.bitmask and x.bitmask & ~b.bitmask  # in neither mask alone
+    memo = FitnessMemo()
+    memo.add(fitted_a)
+    memo.add(fitted_b)
+    fits = []
+    real = ga.fit
+    monkeypatch.setattr(ga, "fit", lambda *args: fits.append(args) or real(*args))
+    [served] = ga._evaluate([x], train, test, "entropy", memo)
+    assert fits == [] and (memo.exact_hits, memo.memo_hits) == (0, 1)
+    assert_same_evaluation(served, compute_fitness(x, train, test))
+    beyond = FeatureMask.from_indices(x.indices() + (outside,))
+    assert memo.lookup(beyond) is None  # one column outside a | b
+
+
+def test_memo_counts_a_repeat_of_a_smaller_fitted_mask_as_exact(tiny_sets):
     train, test = tiny_sets
     small = FeatureMask.from_indices([0, 5])
     large = FeatureMask.from_indices([0, 1, 2, 5])
@@ -397,12 +434,13 @@ def test_memo_keeps_only_the_largest_mask_of_a_group(tiny_sets):
     memo = FitnessMemo()
     memo.add(fitted_small)
     memo.add(fitted_large)
-    assert [list(group) for group in memo._groups.values()] == [[large.bitmask]]
-    served = memo.lookup(small)
-    for name in ("fitness", "cm", "mask", "selected_count", "metrics", "used_features"):
-        assert getattr(served, name) == getattr(fitted_small, name), name
+    assert memo.lookup(small) is fitted_small
     assert memo.lookup(large) is fitted_large
-    assert (memo.exact_hits, memo.memo_hits) == (1, 1)
+    assert (memo.exact_hits, memo.memo_hits) == (2, 0)
+
+
+def test_memo_keeps_the_empty_mask_apart_from_leaf_trees(tiny_sets):
+    train, test = tiny_sets
     # the empty mask shares its group with leaf trees but is never merged into them
     empty = compute_fitness(FeatureMask((False,) * N_FEATURES), train, test)
     leaf = compute_fitness(FeatureMask.from_indices([1, 2, 3]), train, test)
@@ -411,6 +449,52 @@ def test_memo_keeps_only_the_largest_mask_of_a_group(tiny_sets):
         for individual in order:
             memo.add(individual)
         assert memo.lookup(empty.mask) is empty and memo.lookup(leaf.mask) is leaf
+
+
+def _mask_sequence(rng, length):
+    """Random masks, mutations and crossovers of earlier ones, and empty masks."""
+    masks = []
+    while len(masks) < length:
+        draw = rng.random()
+        if len(masks) < 8 or draw < 0.1:
+            mask = FeatureMask.from_array(rng.random(N_FEATURES) < 0.25)
+        elif draw < 0.15:
+            mask = FeatureMask((False,) * N_FEATURES)
+        elif draw < 0.6:
+            mask = mutate(masks[rng.integers(len(masks))], rng, 0.05)
+        else:
+            first, second = (masks[i] for i in rng.integers(len(masks), size=2))
+            mask = crossover(first, second, rng, 1.0)[int(rng.integers(2))]
+        masks.append(mask)
+    return masks
+
+
+@pytest.mark.parametrize("criterion", ["entropy", "gini"])
+@pytest.mark.parametrize("target", ["flood", "burst"])
+def test_memo_serves_all_the_subset_oracle_serves(request, target, criterion):
+    train, test = request.getfixturevalue(f"synth_{target}")
+    fresh = {}
+    memo, oracle = FitnessMemo(), SubsetMemo()
+    fits = {"memo": 0, "oracle": 0}
+    for mask in _mask_sequence(np.random.default_rng(13), 160):
+        if mask.bitmask not in fresh:
+            fresh[mask.bitmask] = compute_fitness(mask, train, test, criterion)
+        expected = fresh[mask.bitmask]
+        from_oracle = oracle.lookup(mask)
+        served = memo.lookup(mask)
+        if from_oracle is not None:
+            assert served is not None
+            assert_same_evaluation(from_oracle, expected)
+        if served is None:
+            memo.add(expected)
+            fits["memo"] += 1
+        else:
+            assert_same_evaluation(served, expected)
+        if from_oracle is None:
+            oracle.add(expected)
+            fits["oracle"] += 1
+        assert fits["memo"] <= fits["oracle"]
+    assert fits["memo"] < fits["oracle"]
 
 
 def test_memo_serves_a_mask_fitted_earlier_in_the_same_batch(tiny_sets, monkeypatch):
