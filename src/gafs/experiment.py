@@ -28,7 +28,7 @@ from .nslkdd import (
     report_alias,
 )
 from .reference import REFERENCE_CASES, ReferenceCase
-from .tree import check_criterion
+from .tree import SplitTable, check_criterion
 
 DOS_ALL = "dos-all"
 
@@ -47,13 +47,19 @@ class ExperimentConfig:
         check_criterion(self.criterion)
         if self.mode not in ("ga", "fixed"):
             raise ValueError(f"mode must be 'ga' or 'fixed', got {self.mode!r}")
-        if self.mode == "fixed" and not any(n.strip() for n in self.fixed_features or ()):
-            raise ValueError("fixed mode requires a non-empty feature list")
+        if self.mode == "fixed":
+            if not any(n.strip() for n in self.fixed_features or ()):
+                raise ValueError("fixed mode requires a non-empty feature list")
+            self.fixed_mask()  # unknown names fail here, before any file is read
         if self.mode == "ga" and self.ga is None:
             raise ValueError("ga mode requires a GAConfig")
         if self.ga is not None and self.ga.criterion != self.criterion:
             raise ValueError(f"GA criterion {self.ga.criterion!r} differs from the "
                              f"experiment criterion {self.criterion!r}")
+
+    def fixed_mask(self) -> FeatureMask:
+        """The mask of ``fixed_features``, blank names skipped."""
+        return FeatureMask.from_names(n.strip() for n in self.fixed_features if n.strip())
 
 
 @dataclass
@@ -181,7 +187,6 @@ def run_experiment(
     cfg: ExperimentConfig,
     *,
     workers: int = 1,
-    use_cache: bool = True,
     trace: Tracer | None = None,
 ) -> ExperimentResult:
     """Run one full experiment; all randomness comes from cfg.ga.seed."""
@@ -196,12 +201,11 @@ def run_experiment(
     test_binary = relabel(test, attacks)
 
     if cfg.mode == "fixed":
-        mask = FeatureMask.from_names(n.strip() for n in cfg.fixed_features if n.strip())
-        best = compute_fitness(mask, train_binary, test_binary, cfg.criterion)
+        best = compute_fitness(cfg.fixed_mask(), train_binary, test_binary, cfg.criterion)
         history: tuple[float, ...] = ()
         counts = {"requested": 1, "fitted": 1}
     else:
-        result = run(cfg.ga, train_binary, test_binary, use_cache=use_cache, trace=trace)
+        result = run(cfg.ga, train_binary, test_binary, trace=trace)
         best, history = result.best, result.history
         counts = {name: getattr(result, name)
                   for name in ("requested", "exact_hits", "memo_hits", "fitted", "split_hits")}
@@ -288,17 +292,22 @@ def verify_appendix(
     """Re-evaluate every bundled reference feature set on local data."""
     train, test, _ = _load(train_path, test_path)
     labels = set(train.labels) | set(test.labels)
-    # each target's sets are relabelled once and serve all its cases, which
-    # also share the training set's root histograms
+    # each target's sets are relabelled once and serve all its cases; the
+    # cases of one target and criterion also share one split table
     relabelled: dict[frozenset[str], tuple] = {}
+    tables: dict[tuple[frozenset[str], str], SplitTable] = {}
 
     rows: list[VerificationRow] = []
     for case in cases:
         attacks = resolve_target(case.target, labels)
         if attacks not in relabelled:
             relabelled[attacks] = relabel(train, attacks), relabel(test, attacks)
-        mask = FeatureMask.from_names(case.features)
-        individual = compute_fitness(mask, *relabelled[attacks], case.criterion)
+        train_binary, test_binary = relabelled[attacks]
+        key = attacks, case.criterion
+        if key not in tables:
+            tables[key] = SplitTable(train_binary, case.criterion)
+        individual = compute_fitness(FeatureMask.from_names(case.features), train_binary,
+                                     test_binary, case.criterion, tables[key])
         rows.append(VerificationRow(case=case, cm=individual.cm,
                                     report=individual.metrics))
     return rows

@@ -98,8 +98,8 @@ def compute_fitness(
 ) -> EvaluatedIndividual:
     """Train on the mask's training columns, validate on the masked test set.
 
-    The tree reads the training columns in place, through ``table`` when
-    given; only the test set is projected. The all-zero mask never reaches
+    The tree reads the training columns in place, through ``table`` (its own
+    when None); only the test set is projected. The all-zero mask never reaches
     the classifier: it is assigned the worst possible fitness of 1.0 directly.
     """
     if mask.selected_count == 0:
@@ -299,7 +299,8 @@ def run(
     features, then gene order) and the best-fitness trajectory, one entry for
     the initial population plus one per completed generation. With
     ``use_cache`` the run keeps a ``FitnessMemo`` and a ``SplitTable``; both
-    live as long as the run.
+    live as long as the run. Without it every mask is fitted through a table
+    of its own, so nothing is shared between evaluations.
     """
     memo = FitnessMemo() if use_cache else None
     table = SplitTable(train, cfg.criterion) if use_cache else None

@@ -10,9 +10,7 @@ a rule to a block-by-block checker that names the line at fault;
 ``build_codebook`` numbers the training set's symbolic values, and ``encode``
 maps the symbolic columns through the codebook beside the numeric ones. An
 encoded set's rank table (``ColumnRanks``), which the trees read, is made by
-the first fit on it and shared with its relabels; a relabelled set's root
-histograms, which depend on its targets too, are made by the first fit on
-that set and kept with it.
+the first fit on it and shared with its relabels.
 """
 
 from __future__ import annotations
@@ -167,32 +165,22 @@ def rank_columns(matrix: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]
     return ranks, tuple(values)
 
 
-class Lazy:
-    """A table made by the first call of ``of`` and kept; made once even when
-    threads ask for it at the same time."""
+class ColumnRanks:
+    """``rank_columns`` of a dataset's feature matrix, made on first use.
+
+    A dataset and its relabels share one; the first tree fitted on any of
+    them fills it, once even when threads fit at the same time.
+    """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._table = None
 
-    def of(self, make):
+    def of(self, matrix: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         with self._lock:
             if self._table is None:
-                self._table = make()
+                self._table = rank_columns(matrix)
             return self._table
-
-
-class ColumnRanks(Lazy):
-    """``rank_columns`` of a dataset's feature matrix, made on first use.
-
-    A dataset and its relabels share one; the first tree fitted on any of
-    them fills it, once even when threads fit at the same time. Each
-    relabelled set's root histograms, which the first fit on that set makes
-    from this table and the set's targets, are a ``Lazy`` of their own.
-    """
-
-    def of(self, matrix: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        return super().of(lambda: rank_columns(matrix))
 
 
 @dataclass
@@ -223,22 +211,13 @@ class Dataset:
 
 @dataclass
 class BinaryLabeledDataset:
-    """Feature matrix plus boolean targets for one target-vs-rest task.
-
-    ``root_histograms`` holds every column's histogram at a tree's root (the
-    rows and positives of each rank), the same for every fit on this set:
-    the first fit makes it from the rank table and the targets, once even
-    when threads fit at the same time, and it lives as long as the set.
-    ``relabel`` and ``project`` make new sets, each with a fresh one, so a
-    table never serves other targets.
-    """
+    """Feature matrix plus boolean targets for one target-vs-rest task."""
 
     features: np.ndarray  # (n, k) float64
     targets: np.ndarray  # (n,) bool
     feature_names: tuple[str, ...]
     # shared with the Dataset this was relabeled from; fresh for a projection
     ranks: ColumnRanks = field(default_factory=ColumnRanks, repr=False, compare=False)
-    root_histograms: Lazy = field(default_factory=Lazy, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.targets)

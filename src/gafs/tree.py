@@ -8,21 +8,21 @@ feature index, then lowest threshold, so training is fully deterministic.
 
 Growth is level-synchronous and exact, from histograms (LightGBM's split
 search with one bin per distinct value): each training column is ranked once
-among its distinct values, and the root's histogram of each column (the rows
-and positives of every rank) is counted once per labelled training set. Below
-the root, two bincounts per column count the rows and positives of each
-(node, rank) cell of the level. One pass over each column's cells scores every
-node's candidates, and rows move down by comparing ranks. Nothing is
-presorted or partitioned. Trees are flat arrays in breadth-first node order.
+among its distinct values, and at each level two bincounts per column count
+the rows and positives of each (node, rank) cell. One pass over each column's
+cells scores every node's candidates, and rows move down by comparing ranks.
+Nothing is presorted or partitioned. Trees are flat arrays in breadth-first
+node order.
 
-A ``SplitTable`` carries split searches from one fit to the next on one
-training set under one criterion; a GA run keeps one. A node's rows are fixed
-by its path from the root, the (column, cut rank, side) of every split above
-it, whatever other columns the tree may use, and so is each column's best
-split there. The table keeps that per (path, column) for nodes holding at
-least 1% of the rows, and a fit counts and scores a column only at the nodes
-whose entry is missing. Both come from the same integer counts through the
-same expressions, so a tree is bit-identical with or without a table.
+Every fit grows through a ``SplitTable``, which carries split searches from
+one fit to the next on one training set under one criterion; a fit given
+none makes its own. A node's rows are fixed by its path from the root, the
+(column, cut rank, side) of every split above it, whatever other columns the
+tree may use, and so is each column's best split there. The table keeps that
+per (path, column) for the root and every node holding at least 1% of the
+rows, and a fit counts and scores a column only at the nodes whose entry is
+missing. Both come from the same integer counts through the same
+expressions, so a tree is bit-identical whichever table it grows through.
 """
 
 from __future__ import annotations
@@ -101,17 +101,6 @@ def impurity(class_counts, criterion: str) -> float:
         raise ValueError("impurity of an empty node is undefined")
     value = _impurity_arrays(np.float64(b), np.float64(n), criterion)
     return float(value)
-
-
-def _root_histograms(ranks, values, targets) -> dict:
-    """Every non-constant column's histogram at the root of a labelled training
-    set: each rank is present, with its rows and positives (see ``_histogram``)."""
-    positive = np.flatnonzero(targets)
-    return {
-        j: (np.arange(v.size), np.bincount(ranks[j]),
-            np.bincount(ranks[j][positive], minlength=v.size))
-        for j, v in enumerate(values) if v.size > 1
-    }
 
 
 def _histogram(key, positives, cells, dense):
@@ -242,22 +231,20 @@ def _column_splits(values, cell, count, cell_pos, start, pos_before, size_f, pos
             cand_pos[chosen])
 
 
-def _level_splits(values, ranks, columns, rows, node, root, size, pos, criterion,
-                  table=None, path=None):
+def _level_splits(values, ranks, columns, rows, node, size, pos, criterion, table, path):
     """Best split of every node of one level, from a histogram per column.
 
     ``values[j]`` are column j's distinct values and ``ranks[j]`` each row's
     rank among them (``rank_columns``); ``columns`` (an array) are searched in
     tie-break order. ``rows`` are the level's rows, positives first, and
     ``node`` the node of each; node i holds ``size[i]`` rows and ``pos[i]``
-    positives. At the root, ``root`` holds every column's histogram and
-    nothing is counted. With a ``table``, node i's path id is ``path[i]`` (-1:
-    not kept): the level's entries are read in one gather, a column is
-    counted and scored only at the nodes whose entry it lacks, and the new
-    entries are stored in one scatter. Returns per node the position in
-    ``columns`` of the split column (-1: no candidate), the threshold, the
-    decrease, the left child's size and positives, and the rank of the
-    largest value that goes left.
+    positives, and its path id in ``table`` is ``path[i]`` (-1: not kept).
+    The level's entries are read in one gather, a column is counted and
+    scored only at the nodes whose entry it lacks, and the new entries are
+    stored in one scatter. Returns per node the position in ``columns`` of
+    the split column (-1: no candidate), the threshold, the decrease, the
+    left child's size and positives, and the rank of the largest value that
+    goes left.
     """
     m = size.size
     size_f, pos_f = size.astype(np.float64), pos.astype(np.float64)
@@ -265,13 +252,11 @@ def _level_splits(values, ranks, columns, rows, node, root, size, pos, criterion
     feature = np.full(m, -1, dtype=np.intp)
     best, threshold = np.full(m, -np.inf), np.zeros(m)
     left_size, left_pos, cut = (np.zeros(m, dtype=np.int64) for _ in range(3))
-    tracked = np.flatnonzero(path >= 0) if table is not None else ()
-    known = np.zeros(columns.size, dtype=np.int64)  # nodes with an entry, by column
-    if len(tracked):
-        at, slots = path[tracked], table.slot[columns]
-        scored = table.scored[at[:, None], slots]
-        known = scored.sum(axis=0)
-        table.hits += int(known.sum())
+    tracked = np.flatnonzero(path >= 0)
+    at, slots = path[tracked], table.slot[columns]
+    scored = table.scored[at[:, None], slots]
+    known = scored.sum(axis=0)  # nodes with an entry, by column
+    table.hits += int(known.sum())
     if known.any():
         has_entry = np.zeros((m, columns.size), dtype=bool)
         has_entry[tracked] = scored
@@ -304,14 +289,11 @@ def _level_splits(values, ranks, columns, rows, node, root, size, pos, criterion
         # node's entry was read above
         if d == 1 or known[f] == m:
             continue
-        need = ~has_entry[:, f] if known[f] else None
-        if root is not None:
-            histogram, start, pos_before = root[j], np.zeros(1, np.int64), np.zeros(1, np.int64)
-        else:
-            count_rows, count_node, positives, start, pos_before = counted(need)
-            cells = m * d
-            histogram = _histogram(count_node * d + ranks[j][count_rows], positives, cells,
-                                   cells <= _DENSE_CELLS_PER_ROW * count_rows.size)
+        count_rows, count_node, positives, start, pos_before = counted(
+            ~has_entry[:, f] if known[f] else None)
+        cells = m * d
+        histogram = _histogram(count_node * d + ranks[j][count_rows], positives, cells,
+                               cells <= _DENSE_CELLS_PER_ROW * count_rows.size)
         split = _column_splits(values[j], *histogram, start, pos_before, size_f, pos_f,
                                parent, criterion)
         scored_here.append(f)
@@ -328,7 +310,7 @@ def _level_splits(values, ranks, columns, rows, node, root, size, pos, criterion
         won = nodes[better]
         best[won], feature[won], threshold[won] = gain[better], f, thresholds[better]
         left_size[won], left_pos[won], cut[won] = sizes[better], positives[better], cuts[better]
-    if len(tracked) and scored_here:  # store what was scored at the kept nodes
+    if tracked.size and scored_here:  # store what was scored at the kept nodes
         table.scored[at[:, None], slots[scored_here]] = True
         if found:
             nodes, *fields = (np.concatenate(a) for a in zip(*(s for _, s in found)))
@@ -348,12 +330,12 @@ def fit(train: BinaryLabeledDataset, criterion: str = "entropy",
     ``columns`` are positions in ``train.features`` (all of them when None);
     the tree's feature indices count within them. They are read out of the
     training set's rank table (``train.ranks``, made by the first fit on the
-    matrix) and its root histograms (``train.root_histograms``, made by the
-    first fit on the labelled set), so no projected copy is built. A
-    ``table`` made for this training set and criterion serves the split
-    searches earlier fits made and keeps this fit's. The tree is always grown
-    to purity: a node becomes a leaf only when it is pure or has no candidate
-    split. Same inputs always give an identical tree.
+    matrix), so no projected copy is built. The split searches go through
+    ``table``, which must be made for this training set and criterion: it
+    serves the searches earlier fits made and keeps this fit's. Without one
+    the fit makes its own. The tree is always grown to purity: a node becomes
+    a leaf only when it is pure or has no candidate split. Same inputs always
+    give an identical tree.
     """
     check_criterion(criterion)
     X = np.asarray(train.features, dtype=np.float64)
@@ -365,12 +347,13 @@ def fit(train: BinaryLabeledDataset, criterion: str = "entropy",
         raise ValueError("training data must contain at least one feature column")
     if X.shape[0] != y.size:
         raise ValueError("feature matrix and targets differ in length")
-    if table is not None and (table.train is not train or table.criterion != criterion):
+    if table is None:
+        table = SplitTable(train, criterion)
+    elif table.train is not train or table.criterion != criterion:
         raise ValueError("a split table serves only the training set and criterion "
                          "it was made for")
     n = y.size
     ranks, values = train.ranks.of(X)
-    root = train.root_histograms.of(lambda: _root_histograms(ranks, values, y))
     column_of = np.asarray(columns)
 
     def is_open(size: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -380,19 +363,18 @@ def fit(train: BinaryLabeledDataset, criterion: str = "entropy",
     made = [(np.array([0]), np.array([n]), np.array([np.count_nonzero(y)]))]
     splits = []
     # the level's open nodes (ids, sizes, positives, path ids in the table),
-    # their rows, positives first, and the node of each row; the rows are
-    # made by the first row move, which a tree of one split never makes
+    # their rows, positives first, and the node of each
     root_open = is_open(*made[0][1:])
     ids, size, pos = (a[root_open] for a in made[0])
     path = np.zeros(size.size, dtype=np.intp)
-    rows = node = None
+    rows = np.concatenate((np.flatnonzero(y), np.flatnonzero(~y)))
+    node = np.zeros(n, dtype=np.intp)
     depth = 0
 
     while size.size:
         with np.errstate(over="ignore"):  # an overflowing midpoint is no candidate
             feature, threshold, decrease, left_size, left_pos, cut = _level_splits(
-                values, ranks, column_of, rows, node, None if depth else root, size, pos,
-                criterion, table, path)
+                values, ranks, column_of, rows, node, size, pos, criterion, table, path)
         split = feature >= 0
         if not split.any():
             break
@@ -414,21 +396,18 @@ def fit(train: BinaryLabeledDataset, criterion: str = "entropy",
         order = np.flatnonzero(child_open)  # the next level's nodes
         if not order.size:
             break
-        if table is not None:  # the children's paths, kept for open ones above the floor
-            child_path = np.full(child_id.size, -1, dtype=np.intp)
-            step = np.repeat(np.flatnonzero(split), 2)
-            keep = np.flatnonzero(child_open & (path[step] >= 0) & (child_size >= table.floor))
-            if keep.size:
-                at = step[keep]
-                child_path[keep] = table.child_paths(path[at], column_of[feature[at]], cut[at],
-                                                     keep % 2)
-            path = child_path[order]
+        # the children's paths, kept for open ones above the floor
+        child_path = np.full(child_id.size, -1, dtype=np.intp)
+        step = np.repeat(np.flatnonzero(split), 2)
+        keep = np.flatnonzero(child_open & (path[step] >= 0) & (child_size >= table.floor))
+        if keep.size:
+            at = step[keep]
+            child_path[keep] = table.child_paths(path[at], column_of[feature[at]], cut[at],
+                                                 keep % 2)
+        path = child_path[order]
         ids, size, pos = (a[order] for a in (child_id, child_size, child_pos))
         child = np.full(2 * feature.size, -1, dtype=np.intp)  # the next level's, by (node, side)
         child[(2 * np.flatnonzero(split)[:, None] + (0, 1)).ravel()[order]] = np.arange(order.size)
-        if rows is None:
-            rows = np.concatenate((np.flatnonzero(y), np.flatnonzero(~y)))
-            node = np.zeros(n, dtype=np.intp)
         # a row goes right when its rank in the split column is above the cut;
         # rows of a node without a split read any column and drop out
         right = ranks[column_of[feature[node]], rows] > cut[node]

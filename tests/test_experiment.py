@@ -139,6 +139,17 @@ def test_mismatched_ga_criterion_rejected_before_any_file_is_read(tmp_path):
     assert consistent.ga.criterion == "gini"
 
 
+def test_unknown_fixed_feature_rejected_before_any_file_is_read(tmp_path):
+    absent = tmp_path / "absent.txt"
+    with pytest.raises(ValueError, match="unknown feature name\\(s\\) bogus; valid names"):
+        ExperimentConfig(train_path=absent, test_path=absent, mode="fixed", target="land",
+                         fixed_features=("protocol_type", " bogus ", ""))
+    # blank names are skipped and the rest stripped, as run_experiment reads them
+    cfg = ExperimentConfig(train_path=absent, test_path=absent, mode="fixed", target="land",
+                           fixed_features=(" count", "", "land "))
+    assert cfg.fixed_mask().selected_names() == ("land", "count")
+
+
 # --------------------------------------------------------------- emit_reports
 
 
@@ -247,12 +258,17 @@ def test_verify_appendix_relabels_each_target_once(synth_files, monkeypatch):
                       expected_cm=ConfusionMatrix(tp=0, fn=0, fp=0, tn=0))
         for features in names for target in ("flood", "burst") for criterion in ("entropy", "gini")
     )
-    calls = []
+    calls, tables = [], []
     real = experiment.relabel
     monkeypatch.setattr(experiment, "relabel",
                         lambda data, attacks: calls.append(attacks) or real(data, attacks))
+    real_table = experiment.SplitTable
+    monkeypatch.setattr(experiment, "SplitTable",
+                        lambda *a: tables.append(a[1:]) or real_table(*a))
     rows = verify_appendix(train_path, test_path, cases)
     assert len(rows) == 12 and len(calls) == 4
+    # one split table per target and criterion
+    assert len(tables) == 4 and set(tables) == {("entropy",), ("gini",)}
     # each case as it ran with sets relabelled for it alone
     train, test, _ = experiment._load(train_path, test_path)
     for row, case in zip(rows, cases):

@@ -580,12 +580,9 @@ def test_worker_threads_share_one_rank_table(synth_encoded, monkeypatch):
     train, _, _ = synth_encoded
     # large enough that ranking outlasts the threads' start
     fresh = nslkdd.Dataset(np.tile(train.features, (20, 1)), train.labels * 20)
-    calls, root_calls = [], []
+    calls = []
     real = nslkdd.rank_columns
     monkeypatch.setattr(nslkdd, "rank_columns", lambda m: calls.append(id(m)) or real(m))
-    real_root = tree_module._root_histograms
-    monkeypatch.setattr(tree_module, "_root_histograms",
-                        lambda *a: root_calls.append(1) or real_root(*a))
     masks = [FeatureMask.from_indices(range(j, j + 3)) for j in range(24)]
     burst = relabel(fresh, {"burst"})
     interval = sys.getswitchinterval()
@@ -597,35 +594,34 @@ def test_worker_threads_share_one_rank_table(synth_encoded, monkeypatch):
             trees = [future.result(timeout=60) for future in futures]
     finally:
         sys.setswitchinterval(interval)
-    assert calls == [id(fresh.features)] and len(root_calls) == 1
+    assert calls == [id(fresh.features)]
     for mask, tree in zip(masks, trees):
         alone = fit(project(burst, mask), "gini")
         for name in TREE_ARRAYS:
             assert getattr(tree, name).tobytes() == getattr(alone, name).tobytes(), name
-    assert len(calls) == 1 + len(masks)  # each projection has a table of its own
-    assert len(root_calls) == 1 + len(masks)
+    assert len(calls) == 1 + len(masks)  # each projection has a rank table of its own
 
 
-def test_root_histograms_are_made_once_per_labelled_set(synth_encoded, monkeypatch):
+def test_table_searches_the_root_once(synth_encoded, monkeypatch):
     train, _, _ = synth_encoded
-    calls = []
-    real = tree_module._root_histograms
-    monkeypatch.setattr(tree_module, "_root_histograms",
-                        lambda *a: calls.append(1) or real(*a))
-    masks = [["count"], ["count", "src_bytes", "service"], ["duration", "flag"]]
-    labelled = {target: relabel(train, {target}) for target in ("flood", "burst")}
-    trees = {(target, i, criterion): fit(data, criterion,
-                                         mask_columns(data, FeatureMask.from_names(names)))
-             for target, data in labelled.items()
-             for i, names in enumerate(masks) for criterion in CRITERIA}
-    assert len(calls) == len(labelled)
-    # a relabel of the same matrix has its own root table: the trees are the
-    # ones fresh datasets give
-    for (target, i, criterion), tree in trees.items():
-        fresh = relabel(nslkdd.Dataset(train.features.copy(), train.labels), {target})
-        alone = fit(fresh, criterion, mask_columns(fresh, FeatureMask.from_names(masks[i])))
-        for name in TREE_ARRAYS:
-            assert getattr(tree, name).tobytes() == getattr(alone, name).tobytes(), name
+    flood = relabel(train, {"flood"})
+    columns = mask_columns(flood, FeatureMask.from_names(["count"]))
+    counted = []
+    real = tree_module._histogram
+    monkeypatch.setattr(tree_module, "_histogram", lambda *a: counted.append(1) or real(*a))
+    for criterion in CRITERIA:
+        counted.clear()
+        table = SplitTable(flood, criterion)
+        first = fit(flood, criterion, columns, table)
+        assert first.node_count == 3 and len(counted) == 1  # one split, two pure leaves
+        second = fit(flood, criterion, columns, table)
+        assert len(counted) == 1 and table.hits == 1  # the root entry served it
+        # a fresh relabel and a fresh table give the same tree
+        fresh = relabel(nslkdd.Dataset(train.features.copy(), train.labels), {"flood"})
+        alone = fit(fresh, criterion, columns)
+        for tree in (first, second):
+            for name in TREE_ARRAYS:
+                assert getattr(tree, name).tobytes() == getattr(alone, name).tobytes(), name
 
 
 def test_compute_fitness_projects_only_the_test_set(synth_flood, monkeypatch):
