@@ -3,10 +3,11 @@
 Input files are comma-separated text with no header: 41 feature columns
 followed by the attack label, and in the commonly distributed variants a
 trailing difficulty score (42 or 43 columns total), which is checked and
-dropped. Loading is columnar: ``parse_file`` reads the numeric columns as
-one float matrix and the symbolic ones as strings with numpy's C reader,
-checks every rule of the format on its result, and hands any file that fails
-a rule to a block-by-block checker that names the line at fault;
+dropped. Loading is columnar: ``parse_file`` reads a file once, a block of
+lines at a time, with numpy's C reader into one float matrix of the numeric
+columns and string lists of the others, checks every rule of the format on
+the result, and hands any file that fails one to a block checker that names
+the line at fault;
 ``build_codebook`` numbers the training set's symbolic values, and ``encode``
 maps the symbolic columns through the codebook beside the numeric ones. An
 encoded set's rank table (``ColumnRanks``), which the trees read, is made by
@@ -20,6 +21,7 @@ import json
 import sys
 import threading
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -50,9 +52,9 @@ NUMERIC_COLUMNS = tuple(name for name in FEATURE_NAMES if name not in SYMBOLIC_C
 _NUMERIC_INDEX = [FEATURE_NAMES.index(name) for name in NUMERIC_COLUMNS]
 _SYMBOLIC_INDEX = [FEATURE_NAMES.index(name) for name in SYMBOLIC_COLUMNS]
 
-# Lines split into fields at a time by the checker that parse_file falls back
-# to; splitting a whole file at once holds all its field strings together
-# (~150 MB more peak for KDDTrain+).
+# Lines read at a time by parse_file's C reader and by the checker it falls
+# back to; reading a whole file at once holds all its field strings together
+# (~150 MB more peak for KDDTrain+ in the checker, ~80 MB in the reader).
 _BLOCK_LINES = 2048
 
 # np.loadtxt takes these around a number as whitespace, where float() rejects
@@ -274,10 +276,10 @@ def parse_file(path: str | Path, role: str = "") -> RawDataset:
     blank line before the last row and a numeric field that does not parse
     to a finite number, raises ParseError naming the file and line.
 
-    The whole file is read by ``np.loadtxt``. A file on which it fails, or
-    whose result breaks one of these rules, is parsed again by
-    ``_parse_block`` a block of lines at a time, which decides whether it is
-    accepted and words the error.
+    The file is read once by ``np.loadtxt``, a block of lines at a time. A
+    file on which it fails in any block, or whose result breaks one of these
+    rules, is parsed again by ``_parse_block`` a block of lines at a time,
+    which decides whether it is accepted and words the error.
     """
     path = Path(path)
     # split on "\n" only, so line numbers match what an editor shows; a "\r"
@@ -287,7 +289,7 @@ def parse_file(path: str | Path, role: str = "") -> RawDataset:
     lines = text.split("\n")
     while lines and not lines[-1].strip():
         lines.pop()
-    # the reader warns on empty input and misreads a few characters
+    # the reader misreads a few characters; an empty file goes to the checker too
     readable = bool(lines) and not any(char in text for char in _LOADTXT_MISREADS)
     del text
     loaded = _load_columns(lines, role) if readable else None
@@ -304,27 +306,38 @@ def parse_file(path: str | Path, role: str = "") -> RawDataset:
 
 
 def _load_columns(lines: list[str], role: str) -> RawDataset | None:
-    """``lines`` read by ``np.loadtxt``, or None if it fails or a line breaks a
-    rule that ``_parse_block`` checks."""
-    commas = [line.count(",") for line in lines]
-    if not set(commas).issubset((N_FEATURES, N_FEATURES + 1)):
+    """``lines`` read by ``np.loadtxt`` a block at a time, or None if it fails
+    or a line breaks a rule that ``_parse_block`` checks. A block's raw string
+    fields are freed, stripped and interned, before the next block is read."""
+    widths = set(map(str.count, lines, repeat(",")))
+    if not widths.issubset((N_FEATURES, N_FEATURES + 1)):
         return None  # a blank or ragged line, which loadtxt would skip or accept
-    # max_rows sizes each result at once; dtype=object makes each field one
-    # str, where dtype=str reads object chunks and casts them to a fixed width
-    read = functools.partial(np.loadtxt, lines, delimiter=",", comments=None,
-                             ndmin=2, max_rows=len(lines))
-    try:
-        numeric = read(dtype=np.float64, usecols=_NUMERIC_INDEX)
-        strings = read(dtype=object, usecols=[*_SYMBOLIC_INDEX, N_FEATURES])
-    except ValueError:
-        return None
-    if not np.isfinite(numeric).all():
-        return None
-    columns = [_stripped(column.tolist()) for column in strings.T]
-    if any("" in column for column in columns):
-        return None
-    difficulties = {line.rpartition(",")[2]
-                    for line, count in zip(lines, commas) if count == N_FEATURES + 1}
+    strings = [*_SYMBOLIC_INDEX, N_FEATURES]
+    if widths == {N_FEATURES + 1}:  # every line has a difficulty: read it too
+        strings.append(N_FEATURES + 1)
+        difficulties = set()
+    else:
+        difficulties = {line.rpartition(",")[2] for line in lines if line.count(",") > N_FEATURES}
+    # usecols sends the numeric columns to one subarray; object makes each string
+    # one str (str would cast chunks to a fixed width); max_rows sizes each result
+    dtype = np.dtype([("numeric", float, len(_NUMERIC_INDEX)), ("strings", object, len(strings))])
+    numeric = np.empty((len(lines), len(_NUMERIC_INDEX)), dtype=np.float64)
+    columns: list[list[str]] = [[] for _ in range(len(SYMBOLIC_COLUMNS) + 1)]
+    for start in range(0, len(lines), _BLOCK_LINES):
+        block = lines[start:start + _BLOCK_LINES]
+        try:
+            read = np.loadtxt(block, dtype, delimiter=",", comments=None, ndmin=1,
+                              usecols=[*_NUMERIC_INDEX, *strings], max_rows=len(block))
+        except ValueError:
+            return None
+        numeric[start:start + len(read)] = read["numeric"]
+        fields = read["strings"].T.tolist()
+        for column, values in zip(columns, fields):
+            column += _stripped(values)
+        difficulties.update(*fields[len(columns):])  # the difficulty, if read
+    if (len(columns[-1]) != len(lines) or not np.isfinite(numeric).all()
+            or any("" in column for column in columns)):
+        return None  # a short result, a non-finite number or an empty field
     try:
         for value in difficulties:
             int(value.strip())
@@ -414,7 +427,10 @@ def encode(data: RawDataset, book: Codebook) -> Dataset:
     run report can surface it.
     """
     features = np.empty((len(data), N_FEATURES), dtype=np.float64)
-    features[:, _NUMERIC_INDEX] = data.numeric
+    # the symbolic columns are one run (or the shapes differ): copy around it
+    first, end = _SYMBOLIC_INDEX[0], _SYMBOLIC_INDEX[-1] + 1
+    features[:, :first] = data.numeric[:, :first]
+    features[:, end:] = data.numeric[:, first:]
     for name in SYMBOLIC_COLUMNS:
         column = data.symbolic[name]
         codes = {value: book.code_for(name, value) for value in dict.fromkeys(column)}

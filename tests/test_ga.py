@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +104,24 @@ def test_separable_target_reaches_zero_fitness(synth_flood):
     out = compute_fitness(FeatureMask.from_names(["wrong_fragment"]), train, test)
     assert out.fitness == 0.0
     assert out.metrics.f_measure == 1.0
+
+
+def test_compute_fitness_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma on its first call: about 13 ms in every fresh process
+    script = "\n".join([
+        "import sys",
+        "from conftest import tiny_binary41",
+        "from gafs.ga import compute_fitness",
+        "from gafs.nslkdd import FeatureMask",
+        "train, test = tiny_binary41(n=90, seed=5), tiny_binary41(n=60, seed=6)",
+        "out = compute_fitness(FeatureMask.from_indices([0, 4, 22]), train, test)",
+        "assert out.used_features.selected_count > 0, out.used_features",
+        "assert 'numpy.ma' not in sys.modules",
+    ])
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    subprocess.run([sys.executable, "-c", script], check=True,
+                   env={**os.environ, "PYTHONPATH": path})
 
 
 # ----------------------------------------------------------- init_population

@@ -255,6 +255,56 @@ def test_c_reader_matches_block_checker(tmp_path, case):
     assert got == expected
 
 
+# lines that differ in a number, the service and the label, so a block read
+# into the wrong rows shows; with 1-3 line blocks line 8 is in the last block
+_VARIED = [with_field(0, str(i), service=("http", "ftp", "smtp")[i % 3],
+                      label=("normal", "pod")[i % 2], difficulty=i) for i in range(7)]
+_MIXED = [line.rpartition(",")[0] if i % 3 else line for i, line in enumerate(_VARIED)]
+
+# (file lines, whether parse_file must fall back to the block checker)
+_BLOCK_CASES = {
+    "mixed 42 and 43 columns across blocks": (_MIXED, False),
+    "float-only number in the last block": (_VARIED + [with_field(0, "1_0", difficulty=7)], True),
+    "non-finite number in the last block": (_VARIED + [with_field(4, "1e999", difficulty=7)], True),
+    "blank label in the last block": (_VARIED + [make_line(label=" ", difficulty=7)], True),
+    "bad difficulty in the last block": (_VARIED + [make_line(difficulty="7.5")], True),
+    "bad difficulty in the last block of a mixed file": (_MIXED + [make_line(difficulty="x")], True),
+}
+
+
+@pytest.mark.parametrize("block_lines", [1, 2, 3])
+@pytest.mark.parametrize("case", [*_READER_CASES, *_BLOCK_CASES])
+def test_c_reader_outcome_does_not_depend_on_block_size(tmp_path, case, block_lines):
+    if case in _READER_CASES:
+        text, falls_back = _READER_CASES[case]
+    else:
+        lines, falls_back = _BLOCK_CASES[case]
+        text = "\n".join(lines) + "\n"
+    path = tmp_path / "case.txt"
+    path.write_bytes(text.encode())
+    outcomes = []
+    for size in (nslkdd._BLOCK_LINES, block_lines):
+        with mock.patch.object(nslkdd, "_BLOCK_LINES", size), \
+                mock.patch.object(nslkdd, "_parse_block", wraps=nslkdd._parse_block) as spy:
+            outcomes.append(parse_outcome(path))
+        assert spy.called == falls_back
+    assert outcomes[1] == outcomes[0]
+    if case in _BLOCK_CASES and isinstance(outcomes[0], str):  # a defect, worded
+        assert outcomes[0].startswith("case.txt: line 8: ")
+
+
+def test_c_reader_short_block_falls_back(tmp_path):
+    path = tmp_path / "case.txt"
+    path.write_text("\n".join(_VARIED) + "\n")
+    expected = parse_outcome(path)
+    loadtxt = np.loadtxt
+    with mock.patch.object(nslkdd, "_BLOCK_LINES", 3), \
+            mock.patch.object(np, "loadtxt", lambda *args, **kwargs: loadtxt(*args, **kwargs)[1:]), \
+            mock.patch.object(nslkdd, "_parse_block", wraps=nslkdd._parse_block) as spy:
+        assert parse_outcome(path) == expected
+    assert spy.called
+
+
 # ------------------------------------------------------------------ codebook
 
 
