@@ -9,10 +9,10 @@ feature index, then lowest threshold, so training is fully deterministic.
 Growth is level-synchronous and exact, from histograms (LightGBM's split
 search with one bin per distinct value): each training column is ranked once
 among its distinct values, and at each level two bincounts per column count
-the rows and positives of each (node, rank) cell. One pass over each column's
-cells scores every node's candidates, and rows move down by comparing ranks.
-Nothing is presorted or partitioned. Trees are flat arrays in breadth-first
-node order.
+the rows and positives of each (node, rank) cell. One pass over the cells of
+all the level's columns scores every candidate, one reduction picks each
+node's split, and rows move down by comparing ranks. Nothing is presorted or
+partitioned. Trees are flat arrays in breadth-first node order.
 
 Every fit grows through a ``SplitTable``, which carries split searches from
 one fit to the next on one training set under one criterion; a fit given
@@ -192,45 +192,6 @@ class SplitTable:
         return np.array(out, dtype=np.intp)
 
 
-def _column_splits(values, cell, count, cell_pos, start, pos_before, size_f, pos_f, parent,
-                   criterion):
-    """One column's first-best split at every node of a level that has a
-    candidate, from its histogram: the nodes, then each one's gain, threshold,
-    cut rank (of the largest value that goes left), left size and positives.
-
-    Node i's cells follow ``start[i]`` rows and ``pos_before[i]`` positives of
-    the histogram; it holds ``size_f[i]`` rows, ``pos_f[i]`` positives and has
-    impurity ``parent[i]``. None when no node has a candidate.
-    """
-    at, rank = np.divmod(cell, values.size)
-    # a candidate pairs a present rank with the next one of the same node;
-    # the midpoint guards cover float collapse onto a neighbour for extreme
-    # adjacent values
-    candidates = np.flatnonzero(at[1:] == at[:-1])
-    lo, hi = values[rank[candidates]], values[rank[candidates + 1]]
-    thresholds = 0.5 * (lo + hi)  # may overflow (see fit): inf fails the guard below
-    valid = (thresholds >= lo) & (thresholds < hi)
-    candidates, thresholds, at = candidates[valid], thresholds[valid], at[candidates[valid]]
-    if not candidates.size:
-        return None
-    cand_size = np.cumsum(count)[candidates] - start[at]
-    cand_pos = np.cumsum(cell_pos)[candidates] - pos_before[at]
-    lp, ln, n = cand_pos.astype(np.float64), cand_size.astype(np.float64), size_f[at]
-    rn, rp = n - ln, pos_f[at] - lp
-    children = (
-        ln * _impurity_arrays(lp, ln, criterion) + rn * _impurity_arrays(rp, rn, criterion)
-    ) / n
-    gains = parent[at] - children
-    # candidates run node by node, each node's by threshold, so the first one
-    # at its node's maximum has the lowest threshold
-    first = np.flatnonzero(np.concatenate(([True], at[1:] != at[:-1])))
-    top = np.maximum.reduceat(gains, first)
-    hits = np.flatnonzero(gains == np.repeat(top, np.diff(np.append(first, at.size))))
-    chosen = hits[np.searchsorted(hits, first)]
-    return (at[chosen], top, thresholds[chosen], rank[candidates[chosen]], cand_size[chosen],
-            cand_pos[chosen])
-
-
 def _level_splits(values, ranks, columns, rows, node, size, pos, criterion, table, path):
     """Best split of every node of one level, from a histogram per column.
 
@@ -239,88 +200,106 @@ def _level_splits(values, ranks, columns, rows, node, size, pos, criterion, tabl
     tie-break order. ``rows`` are the level's rows, positives first, and
     ``node`` the node of each; node i holds ``size[i]`` rows and ``pos[i]``
     positives, and its path id in ``table`` is ``path[i]`` (-1: not kept).
-    The level's entries are read in one gather, a column is counted and
-    scored only at the nodes whose entry it lacks, and the new entries are
-    stored in one scatter. Returns per node the position in ``columns`` of
-    the split column (-1: no candidate), the threshold, the decrease, the
-    left child's size and positives, and the rank of the largest value that
-    goes left.
+    The level's entries are read in one gather, and a column is counted only
+    at the nodes whose entry it lacks. The cells of every counted column are
+    scored in one pass, as (column, node) groups; each group's first-best
+    split joins the entries read, each node takes the highest gain (the
+    lowest column position on a tie), and the new entries are stored in one
+    scatter. Returns per node the position in ``columns`` of the split
+    column (-1: no candidate), the decrease, the threshold, the rank of the
+    largest value that goes left, and the left child's size and positives.
     """
     m = size.size
     size_f, pos_f = size.astype(np.float64), pos.astype(np.float64)
     parent = _impurity_arrays(pos_f, size_f, criterion)
-    feature = np.full(m, -1, dtype=np.intp)
-    best, threshold = np.full(m, -np.inf), np.zeros(m)
-    left_size, left_pos, cut = (np.zeros(m, dtype=np.int64) for _ in range(3))
     tracked = np.flatnonzero(path >= 0)
     at, slots = path[tracked], table.slot[columns]
     scored = table.scored[at[:, None], slots]
     known = scored.sum(axis=0)  # nodes with an entry, by column
     table.hits += int(known.sum())
-    if known.any():
-        has_entry = np.zeros((m, columns.size), dtype=bool)
-        has_entry[tracked] = scored
-        # each node's first best over the columns it has entries for
-        gains = table.gain[at[:, None], slots]
-        f = np.argmax(gains, axis=1)
-        won = np.flatnonzero(gains[np.arange(at.size), f] > -np.inf)
-        p, j, won, f = at[won], slots[f[won]], tracked[won], f[won]
-        best[won], feature[won], threshold[won] = table.gain[p, j], f, table.threshold[p, j]
-        cut[won], left_size[won], left_pos[won] = (table.cut[p, j], table.left_size[p, j],
-                                                   table.left_pos[p, j])
-    subsets = {}  # the counted nodes' rows, positives and offsets, by the nodes counted
+    has_entry = np.zeros((m, columns.size), dtype=bool)
+    has_entry[tracked] = scored
+    # per (node, column position) with a candidate: the split's gain,
+    # threshold, cut rank, left size and positives; first the entries read
+    i, f = np.nonzero(table.gain[at[:, None], slots] > -np.inf)
+    p, j = at[i], slots[f]
+    found = [(tracked[i], f, *(getattr(table, name)[p, j] for name, _, _ in table.FIELDS[:-1]))]
+    subsets = {}  # the counted nodes' rows, node of each and positives, by the nodes counted
 
     def counted(need):
         key = None if need is None else need.tobytes()
         if key not in subsets:
-            count_rows, count_node, count_size, count_pos = rows, node, size, pos
-            if need is not None:
+            if need is None:
+                subsets[key] = rows, node, pos.sum()
+            else:
                 mine = need[node]
-                count_rows, count_node = rows[mine], node[mine]
-                count_size, count_pos = np.where(need, size, 0), np.where(need, pos, 0)
-            subsets[key] = (count_rows, count_node, count_pos.sum(),
-                            np.cumsum(count_size) - count_size, np.cumsum(count_pos) - count_pos)
+                subsets[key] = rows[mine], node[mine], pos[need].sum()
         return subsets[key]
 
-    scored_here, found = [], []  # the columns scored, and their candidates
+    scored_here, histograms = [], []  # the columns counted, and their cells
     for f, j in enumerate(columns.tolist()):
         d = values[j].size
         # constant on the training set (no candidate anywhere), or every
         # node's entry was read above
         if d == 1 or known[f] == m:
             continue
-        count_rows, count_node, positives, start, pos_before = counted(
-            ~has_entry[:, f] if known[f] else None)
+        count_rows, count_node, positives = counted(~has_entry[:, f] if known[f] else None)
         cells = m * d
-        histogram = _histogram(count_node * d + ranks[j][count_rows], positives, cells,
-                               cells <= _DENSE_CELLS_PER_ROW * count_rows.size)
-        split = _column_splits(values[j], *histogram, start, pos_before, size_f, pos_f,
-                               parent, criterion)
+        cell, count, cell_pos = _histogram(count_node * d + ranks[j][count_rows], positives,
+                                           cells, cells <= _DENSE_CELLS_PER_ROW * count_rows.size)
+        cell_node, rank = np.divmod(cell, d)
         scored_here.append(f)
-        if split is None:
-            continue
-        found.append((f, split))
-        nodes, gain, thresholds, cuts, sizes, positives = split
-        # strictly better: on a tie the lower column wins, also against an
-        # entry of a higher column read above
-        held = best[nodes]
-        better = gain > held
-        if known.any():
-            better |= (gain == held) & (f < feature[nodes])
-        won = nodes[better]
-        best[won], feature[won], threshold[won] = gain[better], f, thresholds[better]
-        left_size[won], left_pos[won], cut[won] = sizes[better], positives[better], cuts[better]
+        histograms.append((f * m + cell_node, rank, values[j][rank], count, cell_pos))
+    if histograms:
+        group, rank, value, count, cell_pos = map(np.concatenate, zip(*histograms))
+        # a candidate pairs a present rank with the next one of the same
+        # group; the midpoint guards cover float collapse onto a neighbour
+        # for extreme adjacent values
+        candidates = np.flatnonzero(group[1:] == group[:-1])
+        lo, hi = value[candidates], value[candidates + 1]
+        thresholds = 0.5 * (lo + hi)  # may overflow (see fit): inf fails the guard below
+        valid = (thresholds >= lo) & (thresholds < hi)
+        candidates, thresholds = candidates[valid], thresholds[valid]
+    if histograms and candidates.size:
+        # a candidate's left rows and positives count from its group's first cell
+        starts = np.flatnonzero(np.concatenate(([True], group[1:] != group[:-1])))
+        start = starts[np.searchsorted(starts, candidates, "right") - 1]
+        before, pos_before = np.cumsum(count) - count, np.cumsum(cell_pos) - cell_pos
+        cand_size = before[candidates + 1] - before[start]
+        cand_pos = pos_before[candidates + 1] - pos_before[start]
+        g = group[candidates]
+        cand_node = g % m
+        lp, ln, n = cand_pos.astype(np.float64), cand_size.astype(np.float64), size_f[cand_node]
+        rn, rp = n - ln, pos_f[cand_node] - lp
+        children = (ln * _impurity_arrays(lp, ln, criterion)
+                    + rn * _impurity_arrays(rp, rn, criterion)) / n
+        gains = parent[cand_node] - children
+        # candidates run group by group, each group's by threshold, so the
+        # first one at its group's maximum has the lowest threshold
+        first = np.flatnonzero(np.concatenate(([True], g[1:] != g[:-1])))
+        top = np.maximum.reduceat(gains, first)
+        hits = np.flatnonzero(gains == np.repeat(top, np.diff(np.append(first, g.size))))
+        chosen = hits[np.searchsorted(hits, first)]
+        f, cand_node = np.divmod(g[first], m)
+        found.append((cand_node, f, top, thresholds[chosen], rank[candidates[chosen]],
+                      cand_size[chosen], cand_pos[chosen]))
+    # each node's split: the highest gain, then the lowest column position
+    nodes, f, gain, *fields = (np.concatenate(a) for a in zip(*found))
+    order = np.lexsort((f, -gain, nodes))
+    won = order[np.flatnonzero(np.diff(nodes[order], prepend=-1))]
+    out = (np.full(m, -1, dtype=np.intp), np.full(m, -np.inf), np.zeros(m),
+           *(np.zeros(m, dtype=np.int64) for _ in range(3)))
+    for array, value in zip(out, (f, gain, *fields)):
+        array[nodes[won]] = value[won]
     if tracked.size and scored_here:  # store what was scored at the kept nodes
         table.scored[at[:, None], slots[scored_here]] = True
-        if found:
-            nodes, *fields = (np.concatenate(a) for a in zip(*(s for _, s in found)))
-            j = np.concatenate([np.full(s[0].size, slots[f]) for f, s in found])
+        if len(found) > 1:
+            nodes, f, *fields = found[1]
             kept = path[nodes] >= 0
-            p, j = path[nodes[kept]], j[kept]
-            for array, value in zip((table.gain, table.threshold, table.cut, table.left_size,
-                                     table.left_pos), fields):
-                array[p, j] = value[kept]
-    return feature, threshold, best, left_size, left_pos, cut
+            p, j = path[nodes[kept]], slots[f[kept]]
+            for (name, _, _), value in zip(table.FIELDS, fields):
+                getattr(table, name)[p, j] = value[kept]
+    return out
 
 
 def fit(train: BinaryLabeledDataset, criterion: str = "entropy",
@@ -359,13 +338,15 @@ def fit(train: BinaryLabeledDataset, criterion: str = "entropy",
     def is_open(size: np.ndarray, pos: np.ndarray) -> np.ndarray:
         return (pos > 0) & (pos < size)  # impure, so it holds at least two rows
 
-    # per level: the nodes made (ids, sizes, positives) and the splits made
-    made = [(np.array([0]), np.array([n]), np.array([np.count_nonzero(y)]))]
+    # per level: the nodes made (sizes, positives) and the splits made; nodes
+    # are numbered in the order they are made, made_count so far
+    made, made_count = [(np.array([n]), np.array([np.count_nonzero(y)]))], 1
     splits = []
     # the level's open nodes (ids, sizes, positives, path ids in the table),
     # their rows, positives first, and the node of each
-    root_open = is_open(*made[0][1:])
-    ids, size, pos = (a[root_open] for a in made[0])
+    root_open = is_open(*made[0])
+    size, pos = (a[root_open] for a in made[0])
+    ids = np.zeros(size.size, dtype=np.intp)
     path = np.zeros(size.size, dtype=np.intp)
     rows = np.concatenate((np.flatnonzero(y), np.flatnonzero(~y)))
     node = np.zeros(n, dtype=np.intp)
@@ -373,16 +354,15 @@ def fit(train: BinaryLabeledDataset, criterion: str = "entropy",
 
     while size.size:
         with np.errstate(over="ignore"):  # an overflowing midpoint is no candidate
-            feature, threshold, decrease, left_size, left_pos, cut = _level_splits(
+            feature, decrease, threshold, cut, left_size, left_pos = _level_splits(
                 values, ranks, column_of, rows, node, size, pos, criterion, table, path)
         split = feature >= 0
         if not split.any():
             break
         # children are numbered breadth-first: by parent id, left before right
         parents = ids[split]
-        left_id = np.empty(parents.size, dtype=np.intp)
-        left_id[np.argsort(parents)] = (sum(made_ids.size for made_ids, _, _ in made)
-                                        + 2 * np.arange(parents.size))
+        left_id = made_count + 2 * np.arange(parents.size)
+        made_count += 2 * parents.size
         splits.append((parents, feature[split], threshold[split], decrease[split],
                        left_id, left_id + 1))
         depth += 1
@@ -392,7 +372,7 @@ def fit(train: BinaryLabeledDataset, criterion: str = "entropy",
         child_id, child_size, child_pos, child_open = (
             np.array(pair).ravel("F") for pair in ((left_id, left_id + 1), (ls, rs), (lp, rp),
                                                    (is_open(ls, lp), is_open(rs, rp))))
-        made.append((child_id, child_size, child_pos))
+        made.append((child_size, child_pos))
         order = np.flatnonzero(child_open)  # the next level's nodes
         if not order.size:
             break
@@ -414,11 +394,10 @@ def fit(train: BinaryLabeledDataset, criterion: str = "entropy",
         node = child[2 * node + right]
         rows, node = rows[node >= 0], node[node >= 0]
 
-    node, node_size, node_pos = map(np.concatenate, zip(*made))
-    counts = np.empty((node.size, 2), dtype=np.int64)
-    counts[node] = np.c_[node_size - node_pos, node_pos]
-    feature, left, right = (np.full(node.size, -1, dtype=np.intp) for _ in range(3))
-    threshold, decrease = np.zeros(node.size), np.zeros(node.size)
+    node_size, node_pos = map(np.concatenate, zip(*made))
+    counts = np.c_[node_size - node_pos, node_pos]
+    feature, left, right = (np.full(made_count, -1, dtype=np.intp) for _ in range(3))
+    threshold, decrease = np.zeros(made_count), np.zeros(made_count)
     if splits:
         parent, *arrays = map(np.concatenate, zip(*splits))
         feature[parent], threshold[parent], decrease[parent], left[parent], right[parent] = arrays

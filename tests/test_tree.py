@@ -624,6 +624,23 @@ def test_table_searches_the_root_once(synth_encoded, monkeypatch):
                 assert getattr(tree, name).tobytes() == getattr(alone, name).tobytes(), name
 
 
+def test_one_pass_scores_each_level(synth_burst, monkeypatch):
+    # a level evaluates the impurity expressions once for its nodes and twice
+    # for the candidates of all its columns together, however many columns
+    train, _ = synth_burst
+    chosen = np.random.default_rng(20).choice(len(train.feature_names), 20, replace=False)
+    columns = mask_columns(train, FeatureMask.from_indices(chosen.tolist()))
+    assert sum(np.ptp(train.features[:, j]) > 0 for j in columns) >= 5
+    calls = []
+    real = tree_module._impurity_arrays
+    monkeypatch.setattr(tree_module, "_impurity_arrays", lambda *a: calls.append(1) or real(*a))
+    for criterion in CRITERIA:
+        calls.clear()
+        tree = fit(train, criterion, columns)
+        assert tree.depth >= 5
+        assert len(calls) <= 3 * (tree.depth + 1)
+
+
 def test_compute_fitness_projects_only_the_test_set(synth_flood, monkeypatch):
     train, test = synth_flood
     seen = []
