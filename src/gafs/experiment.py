@@ -196,7 +196,7 @@ def run_experiment(
         raise ValueError(f"workers must be 1 (evaluation is serial), got {workers!r}")
     started = time.perf_counter()
     train, test, codebook = _load(cfg.train_path, cfg.test_path)
-    attacks = resolve_target(cfg.target, set(train.labels) | set(test.labels))
+    attacks = resolve_target(cfg.target, {*train.labels.values, *test.labels.values})
     train_binary = relabel(train, attacks)
     test_binary = relabel(test, attacks)
 
@@ -291,7 +291,7 @@ def verify_appendix(
 ) -> list[VerificationRow]:
     """Re-evaluate every bundled reference feature set on local data."""
     train, test, _ = _load(train_path, test_path)
-    labels = set(train.labels) | set(test.labels)
+    labels = {*train.labels.values, *test.labels.values}
     # each target's sets are relabelled once and serve all its cases; the
     # cases of one target and criterion also share one split table
     relabelled: dict[frozenset[str], tuple] = {}

@@ -4,24 +4,29 @@ Input files are comma-separated text with no header: 41 feature columns
 followed by the attack label, and in the commonly distributed variants a
 trailing difficulty score (42 or 43 columns total), which is checked and
 dropped. Loading is columnar: ``parse_file`` reads a file once, a block of
-lines at a time, with numpy's C reader into one float matrix of the numeric
-columns and string lists of the others, checks every rule of the format on
-the result, and hands any file that fails one to a block checker that names
-the line at fault;
-``build_codebook`` numbers the training set's symbolic values, and ``encode``
-maps the symbolic columns through the codebook beside the numeric ones. An
-encoded set's rank table (``ColumnRanks``), which the trees read, is made by
-the first fit on it and shared with its relabels.
+lines at a time, with numpy's C reader, the whole-number columns (and the
+difficulty) as int64 and the rates as float64, into one float matrix of the
+numeric columns, and each symbolic column and the labels as ``Categories``:
+the distinct values and one code per row. It checks every rule of the format
+on the result, and hands any file that fails one to a block checker that
+names the line at fault. ``build_codebook`` numbers the training set's
+symbolic values, ``encode`` maps each column's distinct values through the
+codebook and takes the rows' codes from them, and ``relabel`` marks the
+distinct labels and takes the targets likewise. An encoded set's rank table
+(``ColumnRanks``), which the trees read, is made by the first fit on it and
+shared with its relabels.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
-import sys
+import re
 import threading
+import warnings
+from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +56,9 @@ SYMBOLIC_COLUMNS: tuple[str, ...] = ("protocol_type", "service", "flag")
 NUMERIC_COLUMNS = tuple(name for name in FEATURE_NAMES if name not in SYMBOLIC_COLUMNS)
 _NUMERIC_INDEX = [FEATURE_NAMES.index(name) for name in NUMERIC_COLUMNS]
 _SYMBOLIC_INDEX = [FEATURE_NAMES.index(name) for name in SYMBOLIC_COLUMNS]
+# Of those, the 15 rates are fractions; the other 23 hold whole numbers.
+_RATE_INDEX = [i for i in _NUMERIC_INDEX if FEATURE_NAMES[i].endswith("_rate")]
+_COUNT_INDEX = [i for i in _NUMERIC_INDEX if i not in _RATE_INDEX]
 
 # Lines read at a time by parse_file's C reader and by the checker it falls
 # back to; reading a whole file at once holds all its field strings together
@@ -186,13 +194,64 @@ class ColumnRanks:
             return self._table
 
 
+@dataclass(frozen=True, eq=False)
+class Categories:
+    """A column of strings as its distinct values, in first-appearance order,
+    and one code per row: row i is ``values[codes[i]]``.
+
+    Iterating yields the rows' strings. Two are equal when their values and
+    codes are, which for columns in first-appearance order means their rows are.
+    """
+
+    values: tuple[str, ...]
+    codes: np.ndarray  # (n,) int32
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __iter__(self):
+        return map(self.values.__getitem__, self.codes.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Categories):
+            return NotImplemented
+        return self.values == other.values and np.array_equal(self.codes, other.codes)
+
+    __hash__ = None
+
+
+class _Coder:
+    """Codes a column's strings in first-appearance order, a block at a time.
+
+    ``done`` strips each distinct string once; strings that strip alike (" tcp"
+    and "tcp") become one value, at the first appearance of either.
+    """
+
+    def __init__(self) -> None:
+        self._table: defaultdict[str, int] = defaultdict(itertools.count().__next__)
+        self._blocks: list[np.ndarray] = []
+
+    def add(self, values: list[str]) -> None:
+        self._blocks.append(np.fromiter(map(self._table.__getitem__, values),
+                                        dtype=np.int32, count=len(values)))
+
+    def done(self) -> Categories:
+        stripped: dict[str, int] = {}
+        merged = np.fromiter((stripped.setdefault(raw.strip(), len(stripped))
+                              for raw in self._table), dtype=np.int32, count=len(self._table))
+        codes = np.concatenate([np.empty(0, np.int32), *self._blocks])
+        if len(stripped) < len(merged):
+            codes = merged[codes]
+        return Categories(tuple(stripped), codes)
+
+
 @dataclass
 class RawDataset:
-    """Parsed columns in file order, with the symbolic columns still as strings."""
+    """Parsed columns in file order, with the symbolic columns not yet encoded."""
 
     numeric: np.ndarray  # (n, 38) float64, the NUMERIC_COLUMNS in file order
-    symbolic: dict[str, list[str]]  # SYMBOLIC_COLUMNS -> stripped, interned values
-    labels: tuple[str, ...]
+    symbolic: dict[str, Categories]  # SYMBOLIC_COLUMNS -> stripped values
+    labels: Categories  # stripped
     role: str = ""
 
     def __len__(self) -> int:
@@ -204,7 +263,7 @@ class Dataset:
     """Encoded rows: a float matrix plus the original labels, in file order."""
 
     features: np.ndarray  # (n, 41) float64
-    labels: tuple[str, ...]
+    labels: Categories
     feature_names: tuple[str, ...] = FEATURE_NAMES
     ranks: ColumnRanks = field(default_factory=ColumnRanks, repr=False, compare=False)
 
@@ -277,10 +336,14 @@ def parse_file(path: str | Path, role: str = "") -> RawDataset:
     blank line before the last row and a numeric field that does not parse
     to a finite number, raises ParseError naming the file and line.
 
-    The file is read once by ``np.loadtxt``, a block of lines at a time. A
-    file on which it fails in any block, or whose result breaks one of these
-    rules, is parsed again by ``_parse_block`` a block of lines at a time,
-    which decides whether it is accepted and words the error.
+    The file is read once by ``np.loadtxt``, a block of lines at a time, with
+    the whole-number columns and the difficulty as int64. A file whose text
+    holds "-0", or on which that read fails in any block, is read again with
+    every number as float64 and the difficulty as a string. A file on which
+    that fails too, or whose
+    result breaks one of these rules, is parsed again by ``_parse_block`` a
+    block of lines at a time, which decides whether it is accepted and words
+    the error.
     """
     path = Path(path)
     # split on "\n" only, so line numbers match what an editor shows; a "\r"
@@ -291,67 +354,100 @@ def parse_file(path: str | Path, role: str = "") -> RawDataset:
     while lines and not lines[-1].strip():
         lines.pop()
     # the reader misreads a few characters; an empty file goes to the checker too
-    readable = bool(lines) and not any(char in text for char in _LOADTXT_MISREADS)
-    del text
-    loaded = _load_columns(lines, role) if readable else None
-    if loaded is not None:
-        return loaded
+    if lines and not any(char in text for char in _LOADTXT_MISREADS):
+        width = lines[0].count(",")
+        # lines of one width hold width * len(lines) commas; then a shorter
+        # line fails the read, and so no line can be longer
+        if width in (N_FEATURES, N_FEATURES + 1) and text.count(",") == width * len(lines):
+            widths = {width}
+        else:
+            widths = set(map(str.count, lines, itertools.repeat(",")))
+        # int64 reads "-0" as 0, where float64 keeps the sign of -0.0; "-" alone
+        # is found by one memchr, and re finds "-0" faster than str does
+        typed = "-" not in text or re.search("-0", text) is None
+        del text
+        loaded = _load_columns(lines, widths, typed=True) if typed else None
+        if loaded is None:
+            loaded = _load_columns(lines, widths, typed=False)
+        if loaded is not None:
+            return RawDataset(*loaded, role=role)
     numeric = np.empty((len(lines), len(NUMERIC_COLUMNS)), dtype=np.float64)
-    symbolic: dict[str, list[str]] = {name: [] for name in SYMBOLIC_COLUMNS}
-    labels: list[str] = []
+    coders = [_Coder() for _ in range(len(SYMBOLIC_COLUMNS) + 1)]
     for start in range(0, len(lines), _BLOCK_LINES):
         block = lines[start:start + _BLOCK_LINES]
-        _parse_block(block, path.name, start, numeric[start:start + len(block)],
-                     symbolic, labels)
-    return RawDataset(numeric=numeric, symbolic=symbolic, labels=tuple(labels), role=role)
+        _parse_block(block, path.name, start, numeric[start:start + len(block)], coders)
+    *symbolic, labels = (coder.done() for coder in coders)
+    return RawDataset(numeric, dict(zip(SYMBOLIC_COLUMNS, symbolic)), labels, role=role)
 
 
-def _load_columns(lines: list[str], role: str) -> RawDataset | None:
-    """``lines`` read by ``np.loadtxt`` a block at a time, or None if it fails
-    or a line breaks a rule that ``_parse_block`` checks. A block's raw string
-    fields are freed, stripped and interned, before the next block is read."""
-    widths = set(map(str.count, lines, repeat(",")))
+def _load_columns(lines: list[str], widths: set[int], typed: bool):
+    """``lines`` read by ``np.loadtxt`` a block at a time, as (numeric matrix,
+    symbolic columns, labels), or None if it fails or a line breaks a rule
+    that ``_parse_block`` checks. ``widths`` are the lines' comma counts;
+    ``typed`` reads the whole-number columns and the difficulty as int64."""
     if not widths.issubset((N_FEATURES, N_FEATURES + 1)):
         return None  # a blank or ragged line, which loadtxt would skip or accept
+    # the numeric columns in file order, in runs of one type, so that each
+    # run's subarray is copied into the matrix as one slice
+    runs = [(np.int64 if whole else np.float64, list(columns)) for whole, columns in
+            itertools.groupby(_NUMERIC_INDEX, lambda column: typed and column in _COUNT_INDEX)]
     strings = [*_SYMBOLIC_INDEX, N_FEATURES]
+    parts = [*runs, (object, strings)]
+    difficulties: set[str] = set()  # read as strings, checked with int()
     if widths == {N_FEATURES + 1}:  # every line has a difficulty: read it too
-        strings.append(N_FEATURES + 1)
-        difficulties = set()
-    else:
+        if typed:
+            parts.append((np.int64, [N_FEATURES + 1]))
+        else:
+            strings.append(N_FEATURES + 1)
+    elif N_FEATURES + 1 in widths:  # some lines have one: take those alone
         difficulties = {line.rpartition(",")[2] for line in lines if line.count(",") > N_FEATURES}
-    # usecols sends the numeric columns to one subarray; object makes each string
-    # one str (str would cast chunks to a fixed width); max_rows sizes each result
-    dtype = np.dtype([("numeric", float, len(_NUMERIC_INDEX)), ("strings", object, len(strings))])
+    # usecols sends each part's columns to one subarray field (named f0, f1, ...);
+    # object makes each string one str (str would cast chunks to a fixed width);
+    # max_rows sizes each result
+    dtype = np.dtype([("", kind, (len(columns),)) for kind, columns in parts])
+    usecols = [column for _, columns in parts for column in columns]
     numeric = np.empty((len(lines), len(_NUMERIC_INDEX)), dtype=np.float64)
-    columns: list[list[str]] = [[] for _ in range(len(SYMBOLIC_COLUMNS) + 1)]
+    coders = [_Coder() for _ in range(len(SYMBOLIC_COLUMNS) + 1)]
     for start in range(0, len(lines), _BLOCK_LINES):
         block = lines[start:start + _BLOCK_LINES]
         try:
-            read = np.loadtxt(block, dtype, delimiter=",", comments=None, ndmin=1,
-                              usecols=[*_NUMERIC_INDEX, *strings], max_rows=len(block))
-        except ValueError:
+            # numpy < 2 reads a decimal as an int64 with a DeprecationWarning,
+            # and skips a blank line with a UserWarning
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                read = np.loadtxt(block, dtype, delimiter=",", comments=None, ndmin=1,
+                                  usecols=usecols, max_rows=len(block))
+        except (ValueError, Warning):
             return None
-        numeric[start:start + len(read)] = read["numeric"]
-        fields = read["strings"].T.tolist()
-        for column, values in zip(columns, fields):
-            column += _stripped(values)
-        difficulties.update(*fields[len(columns):])  # the difficulty, if read
-    if (len(columns[-1]) != len(lines) or not np.isfinite(numeric).all()
-            or any("" in column for column in columns)):
-        return None  # a short result, a non-finite number or an empty field
+        if len(read) != len(block):
+            return None  # a skipped line
+        rows = numeric[start:start + len(block)]
+        at = 0
+        for name, (kind, columns) in zip(dtype.names, runs):
+            if kind is np.float64 and not np.isfinite(read[name]).all():
+                return None
+            rows[:, at:at + len(columns)] = read[name]
+            at += len(columns)
+        fields = read[dtype.names[len(runs)]].T.tolist()
+        for coder, values in zip(coders, fields):
+            coder.add(values)
+        difficulties.update(*fields[len(coders):])  # the difficulty, if read as a string
+    *symbolic, labels = (coder.done() for coder in coders)
+    if any("" in column.values for column in (*symbolic, labels)):
+        return None  # an empty field
     try:
         for value in difficulties:
             int(value.strip())
     except ValueError:
         return None
-    return RawDataset(numeric=numeric, symbolic=dict(zip(SYMBOLIC_COLUMNS, columns)),
-                      labels=tuple(columns[-1]), role=role)
+    return numeric, dict(zip(SYMBOLIC_COLUMNS, symbolic)), labels
 
 
 def _parse_block(lines: list[str], file_name: str, first: int, numeric: np.ndarray,
-                 symbolic: dict[str, list[str]], labels: list[str]) -> None:
+                 coders: list[_Coder]) -> None:
     """Check the block of lines that starts after line ``first`` of the file;
-    fill ``numeric`` with its numeric columns and extend ``symbolic``/``labels``."""
+    fill ``numeric`` with its numeric columns and add its symbolic columns and
+    labels, in that order, to ``coders``."""
 
     def error(row: int, message: str) -> ParseError:
         return ParseError(f"{file_name}: line {first + row + 1}: {message}")
@@ -370,11 +466,11 @@ def _parse_block(lines: list[str], file_name: str, first: int, numeric: np.ndarr
     for ci, name in enumerate(FEATURE_NAMES):
         column = columns[ci]
         if name in SYMBOLIC_COLUMNS:
-            column = _stripped(column)
+            column = [value.strip() for value in column]
         if "" in column:
             raise error(column.index(""), f"column {name!r}: empty field")
         if name in SYMBOLIC_COLUMNS:
-            symbolic[name] += column
+            coders[SYMBOLIC_COLUMNS.index(name)].add(column)
             continue
         out = numeric[:, NUMERIC_COLUMNS.index(name)]
         try:
@@ -391,10 +487,10 @@ def _parse_block(lines: list[str], file_name: str, first: int, numeric: np.ndarr
             bad = int(np.flatnonzero(~np.isfinite(out))[0])
             raise error(bad, f"column {name!r}: value {column[bad]!r} is not finite")
 
-    block_labels = _stripped(columns[N_FEATURES])
+    block_labels = [value.strip() for value in columns[N_FEATURES]]
     if "" in block_labels:
         raise error(block_labels.index(""), "empty label")
-    labels += block_labels
+    coders[-1].add(block_labels)
 
     for value in {row[-1] for row in rows if len(row) == N_FEATURES + 2}:
         try:
@@ -405,16 +501,10 @@ def _parse_block(lines: list[str], file_name: str, first: int, numeric: np.ndarr
             raise error(bad, f"difficulty column {value!r} is not an integer") from None
 
 
-def _stripped(values) -> list[str]:
-    """``values`` stripped and interned; each distinct string is stripped once."""
-    table = {value: sys.intern(value.strip()) for value in set(values)}
-    return list(map(table.__getitem__, values))
-
-
 def build_codebook(train: RawDataset) -> Codebook:
     """Assign integer codes to symbolic categories in first-appearance order."""
     columns = {
-        name: {value: code for code, value in enumerate(dict.fromkeys(train.symbolic[name]))}
+        name: {value: code for code, value in enumerate(train.symbolic[name].values)}
         for name in SYMBOLIC_COLUMNS
     }
     return Codebook(columns=columns, provenance=train.role or "training")
@@ -434,9 +524,8 @@ def encode(data: RawDataset, book: Codebook) -> Dataset:
     features[:, end:] = data.numeric[:, first:]
     for name in SYMBOLIC_COLUMNS:
         column = data.symbolic[name]
-        codes = {value: book.code_for(name, value) for value in dict.fromkeys(column)}
-        features[:, FEATURE_NAMES.index(name)] = np.fromiter(
-            map(codes.__getitem__, column), dtype=np.float64, count=len(column))
+        codes = np.array([book.code_for(name, value) for value in column.values], dtype=np.float64)
+        features[:, FEATURE_NAMES.index(name)] = codes[column.codes]
     return Dataset(features=features, labels=data.labels)
 
 
@@ -449,12 +538,11 @@ def relabel(data: Dataset, target_attacks) -> BinaryLabeledDataset:
     wanted = frozenset(name.strip().lower() for name in target_attacks)
     if not wanted or not any(wanted):
         raise ValueError("target attack set is empty: no positive class to learn")
-    positive = {label: label.strip().lower() in wanted for label in set(data.labels)}
-    targets = np.fromiter(map(positive.__getitem__, data.labels), dtype=bool,
-                          count=len(data.labels))
+    labels = data.labels
+    positive = np.array([label.strip().lower() in wanted for label in labels.values], dtype=bool)
     return BinaryLabeledDataset(
         features=data.features,
-        targets=targets,
+        targets=positive[labels.codes],
         feature_names=data.feature_names,
         ranks=data.ranks,
     )

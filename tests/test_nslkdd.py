@@ -44,8 +44,8 @@ def test_parse_counts_and_difficulty(tmp_path):
     path.write_text(make_line(difficulty=21) + "\n" + make_line(label="smurf", difficulty=3) + "\n")
     ds = parse_file(path)
     assert len(ds) == 2
-    assert ds.labels == ("normal", "smurf")
-    assert ds.symbolic["protocol_type"] == ["tcp", "tcp"]
+    assert tuple(ds.labels) == ("normal", "smurf")
+    assert list(ds.symbolic["protocol_type"]) == ["tcp", "tcp"]
     # the difficulty is validated, then dropped: 38 numeric columns remain
     assert ds.numeric.shape == (2, len(NUMERIC_COLUMNS)) == (2, 38)
     assert not ds.numeric.any()
@@ -55,9 +55,9 @@ def test_parse_42_column_variant(tmp_path):
     path = tmp_path / "mini.txt"
     path.write_text(make_line() + "\n")
     ds = parse_file(path)
-    assert ds.labels == ("normal",)
+    assert tuple(ds.labels) == ("normal",)
     assert ds.numeric.shape == (1, 38)
-    assert {name: ds.symbolic[name] for name in SYMBOLIC_COLUMNS} == {
+    assert {name: list(ds.symbolic[name]) for name in SYMBOLIC_COLUMNS} == {
         "protocol_type": ["tcp"], "service": ["http"], "flag": ["SF"]}
 
 
@@ -65,7 +65,7 @@ def test_parse_mixed_42_and_43_columns(tmp_path):
     path = tmp_path / "mixed.txt"
     path.write_text(make_line(difficulty=5) + "\n" + make_line(label="pod") + "\n"
                     + make_line(label="land", difficulty=7) + "\n")
-    assert parse_file(path).labels == ("normal", "pod", "land")
+    assert tuple(parse_file(path).labels) == ("normal", "pod", "land")
 
 
 def test_parse_accepts_utf8_bom(tmp_path):
@@ -73,13 +73,13 @@ def test_parse_accepts_utf8_bom(tmp_path):
     plain.write_text(make_line(protocol="udp") + "\n")
     bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
     assert parse_file(bom).symbolic == parse_file(plain).symbolic
-    assert parse_file(bom).symbolic["protocol_type"] == ["udp"]
+    assert list(parse_file(bom).symbolic["protocol_type"]) == ["udp"]
 
 
 def test_parse_accepts_trailing_blank_lines(tmp_path):
     path = tmp_path / "trailing.txt"
     path.write_text(make_line() + "\n" + make_line(label="pod") + "\n\n   \n\t\r\n\n")
-    assert parse_file(path).labels == ("normal", "pod")
+    assert tuple(parse_file(path).labels) == ("normal", "pod")
 
 
 def test_parse_interior_blank_line_names_file_and_line(tmp_path):
@@ -229,6 +229,7 @@ _READER_CASES = {
     "too many columns": (_LINE + "\n" + _LINE_43 + ",9\n", True),
     "interior blank line": (_LINE + "\n\n" + _LINE + "\n", True),
     "whitespace-only line": (_LINE + "\n \t\n" + _LINE + "\n", True),
+    "blank line beside a long one": (_LINE + "\n\n" + _LINE + ",0" * 41 + "\n", True),
     "empty numeric field": (with_field(5, "") + "\n", True),
     "blank service": (make_line(service=" ") + "\n", True),
     "blank label": (_LINE + "\n" + make_line(label="  ") + "\n", True),
@@ -239,6 +240,14 @@ _READER_CASES = {
     "mixed 42 and 43 columns": ("\n".join([_LINE, _LINE_43, _LINE, _LINE_43]) + "\n", False),
     "spaced difficulty": (make_line(difficulty=" 3 ") + "\n", False),
     "bom": ("\ufeff" + _LINE_43 + "\n" + _LINE + "\n\n", False),
+    # whole numbers the int64 read leaves to the float64 one; -0 keeps its sign
+    "negative zero count": (with_field(4, "-0") + "\n", False),
+    "decimal count": (with_field(0, "3.5") + "\n", False),
+    "count past int64": (with_field(4, "99999999999999999999") + "\n", False),
+    "underscored difficulty": (make_line(difficulty="1_0") + "\n", False),
+    # and ones it reads, to the same float64
+    "signed count": (with_field(22, "+7") + "\n", False),
+    "count past 2**53": (with_field(4, str(2**53 + 1)) + "\n", False),
 }
 
 
@@ -253,6 +262,16 @@ def test_c_reader_matches_block_checker(tmp_path, case):
     with mock.patch.object(nslkdd, "_load_columns", return_value=None):
         expected = parse_outcome(path)
     assert got == expected
+
+
+@pytest.mark.parametrize("case", _READER_CASES)
+def test_c_reader_warns_of_nothing(tmp_path, case):
+    path = tmp_path / "case.txt"
+    path.write_bytes(_READER_CASES[case][0].encode())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        parse_outcome(path)
+    assert [str(warning.message) for warning in caught] == []
 
 
 # lines that differ in a number, the service and the label, so a block read
@@ -303,6 +322,26 @@ def test_c_reader_short_block_falls_back(tmp_path):
             mock.patch.object(nslkdd, "_parse_block", wraps=nslkdd._parse_block) as spy:
         assert parse_outcome(path) == expected
     assert spy.called
+
+
+def test_c_reader_reads_whole_numbers_and_difficulty_as_int64(tmp_path):
+    path = tmp_path / "clean.txt"
+    path.write_text("\n".join(_VARIED) + "\n")
+    reads = []
+    loadtxt = np.loadtxt
+
+    def spy(lines, dtype, **kwargs):
+        kinds = [dtype[name].base for name in dtype.names for _ in range(dtype[name].shape[0])]
+        reads.append(dict(zip(kwargs["usecols"], kinds)))
+        return loadtxt(lines, dtype, **kwargs)
+
+    with mock.patch.object(np, "loadtxt", spy):
+        parse_outcome(path)
+    whole = {FEATURE_NAMES.index(name) for name in NUMERIC_COLUMNS if not name.endswith("_rate")}
+    assert len(whole) == 23
+    assert reads
+    for kinds in reads:
+        assert {column for column, kind in kinds.items() if kind == np.int64} == whole | {42}
 
 
 # ------------------------------------------------------------------ codebook
@@ -432,7 +471,7 @@ def columnar_load(train_path, test_path):
     test_raw = parse_file(test_path, role="test")
     book = build_codebook(train_raw)
     train, test = encode(train_raw, book), encode(test_raw, book)
-    return train.features, train.labels, test.features, test.labels, book.to_dict()
+    return train.features, tuple(train.labels), test.features, tuple(test.labels), book.to_dict()
 
 
 def assert_same_load(expected, got):
@@ -462,17 +501,21 @@ _number = st.one_of(
     st.sampled_from(["0", "0.00", "0.1", "1e3", "-0.0", ".5", "7.", "2.5E-7",
                      "1.7976931348623157e308", "5e-324", "123456789.123456789"]),
 )
+# whole numbers within int64, past 2**53 too
+_whole_number = st.integers(min_value=-10**18, max_value=10**18).map(str)
 
 
-def _nslkdd_lines(symbols):
-    """Lists of NSL-KDD lines, each 42 or 43 columns, with no stray whitespace."""
+def _nslkdd_lines(symbols, whole=_number):
+    """Lists of NSL-KDD lines, each 42 or 43 columns, with no stray whitespace;
+    the 23 whole-number columns are drawn from ``whole``, the rates from ``_number``."""
     def line(parts):
         numbers, symbolic, label, difficulty = parts
         fields = numbers[:1] + symbolic + numbers[1:] + [label]
         return ",".join(fields + ([] if difficulty is None else [str(difficulty)]))
 
     parts = st.tuples(
-        st.lists(_number, min_size=len(NUMERIC_COLUMNS), max_size=len(NUMERIC_COLUMNS)),
+        st.tuples(*(_number if name.endswith("_rate") else whole
+                    for name in NUMERIC_COLUMNS)).map(list),
         st.lists(symbols, min_size=len(SYMBOLIC_COLUMNS), max_size=len(SYMBOLIC_COLUMNS)),
         _token,
         st.none() | st.integers(min_value=0, max_value=21),
@@ -518,6 +561,39 @@ def test_columnar_load_matches_rowwise_reference_property(
     # clean files take the C reader
     fell_back = {call.args[1] for call in spy.call_args_list}
     assert fell_back == (set() if float_only is None else {"train.txt"})
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    train=_nslkdd_lines(st.sampled_from(["tcp", "udp", "icmp"]), whole=_whole_number),
+    test=_nslkdd_lines(st.sampled_from(["tcp", "udp", "icmp", "igmp", "gre"]), whole=_whole_number),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    block_lines=st.integers(min_value=1, max_value=5),
+)
+def test_int64_read_matches_rowwise_reference_property(tmp_path, train, test, newline, block_lines):
+    texts = [newline.join(lines) + newline for lines in (train, test)]
+    paths = []
+    for name, text in zip(("train.txt", "test.txt"), texts):
+        path = tmp_path / name
+        path.write_bytes(text.encode())
+        paths.append(path)
+    expected = rowwise_load(*paths)
+    reads = []
+    load = nslkdd._load_columns
+
+    def spy(lines, widths, typed):
+        loaded = load(lines, widths, typed)
+        reads.append((typed, loaded is not None))
+        return loaded
+
+    with mock.patch.object(nslkdd, "_BLOCK_LINES", block_lines), \
+            mock.patch.object(nslkdd, "_load_columns", spy), \
+            mock.patch.object(nslkdd, "_parse_block", wraps=nslkdd._parse_block) as checker:
+        assert_same_load(expected, columnar_load(*paths))
+    assert not checker.called
+    # the int64 read serves each file, unless a "-0" (a rate's -0.0) rules it out
+    assert reads == [("-0" not in text, True) for text in texts]
 
 
 # ------------------------------------------------------------------- relabel

@@ -579,7 +579,8 @@ def test_ranks_reproduce_each_column_value_order(synth_flood):
 def test_worker_threads_share_one_rank_table(synth_encoded, monkeypatch):
     train, _, _ = synth_encoded
     # large enough that ranking outlasts the threads' start
-    fresh = nslkdd.Dataset(np.tile(train.features, (20, 1)), train.labels * 20)
+    labels = nslkdd.Categories(train.labels.values, np.tile(train.labels.codes, 20))
+    fresh = nslkdd.Dataset(np.tile(train.features, (20, 1)), labels)
     calls = []
     real = nslkdd.rank_columns
     monkeypatch.setattr(nslkdd, "rank_columns", lambda m: calls.append(id(m)) or real(m))
