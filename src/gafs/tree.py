@@ -21,8 +21,11 @@ none makes its own. A node's rows are fixed by its path from the root, the
 tree may use, and so is each column's best split there. The table keeps that
 per (path, column) for the root and every node holding at least 1% of the
 rows, and a fit counts and scores a column only at the nodes whose entry is
-missing. Both come from the same integer counts through the same
-expressions, so a tree is bit-identical whichever table it grows through.
+missing. A fit reads entries only for paths the table held when it started,
+since a path it made itself has never been searched, so a level whose kept
+paths are all new reads nothing. Both come from the same integer counts
+through the same expressions, so a tree is bit-identical whichever table it
+grows through.
 """
 
 from __future__ import annotations
@@ -192,7 +195,20 @@ class SplitTable:
         return np.array(out, dtype=np.intp)
 
 
-def _level_splits(values, ranks, columns, rows, node, size, pos, criterion, table, path):
+def _run_starts(a):
+    """Mask of the positions of a non-empty array that start a run of equal values."""
+    starts = np.empty(a.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(a[1:], a[:-1], out=starts[1:])
+    return starts
+
+
+def _joined(parts):
+    """One array of a non-empty list of parts; the part itself when there is one."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _level_splits(values, ranks, columns, rows, node, size, pos, criterion, table, path, born):
     """Best split of every node of one level, from a histogram per column.
 
     ``values[j]`` are column j's distinct values and ``ranks[j]`` each row's
@@ -200,30 +216,38 @@ def _level_splits(values, ranks, columns, rows, node, size, pos, criterion, tabl
     tie-break order. ``rows`` are the level's rows, positives first, and
     ``node`` the node of each; node i holds ``size[i]`` rows and ``pos[i]``
     positives, and its path id in ``table`` is ``path[i]`` (-1: not kept).
-    The level's entries are read in one gather, and a column is counted only
-    at the nodes whose entry it lacks. The cells of every counted column are
-    scored in one pass, as (column, node) groups; each group's first-best
-    split joins the entries read, each node takes the highest gain (the
-    lowest column position on a tie), and the new entries are stored in one
-    scatter. Returns per node the position in ``columns`` of the split
-    column (-1: no candidate), the decrease, the threshold, the rank of the
-    largest value that goes left, and the left child's size and positives.
+    Paths with ids from ``born`` on were made by the running fit, so they
+    have no entries yet: only the older ones are read, in one gather, and a
+    column is counted only at the nodes whose entry it lacks. The cells of
+    every counted column are scored in one pass, as (column, node) groups;
+    each group's first-best split joins the entries read, each node takes
+    the highest gain (the lowest column position on a tie), and the new
+    entries of kept nodes are stored in one scatter. Returns per node the
+    position in ``columns`` of the split column (-1: no candidate), the
+    decrease, the threshold, the rank of the largest value that goes left,
+    and the left child's size and positives.
     """
     m = size.size
     size_f, pos_f = size.astype(np.float64), pos.astype(np.float64)
     parent = _impurity_arrays(pos_f, size_f, criterion)
-    tracked = np.flatnonzero(path >= 0)
-    at, slots = path[tracked], table.slot[columns]
-    scored = table.scored[at[:, None], slots]
-    known = scored.sum(axis=0)  # nodes with an entry, by column
-    table.hits += int(known.sum())
-    has_entry = np.zeros((m, columns.size), dtype=bool)
-    has_entry[tracked] = scored
+    slots = table.slot[columns]
     # per (node, column position) with a candidate: the split's gain,
     # threshold, cut rank, left size and positives; first the entries read
-    i, f = np.nonzero(table.gain[at[:, None], slots] > -np.inf)
-    p, j = at[i], slots[f]
-    found = [(tracked[i], f, *(getattr(table, name)[p, j] for name, _, _ in table.FIELDS[:-1]))]
+    found = []
+    known = [0] * columns.size  # nodes with an entry, by column
+    old = ((path >= 0) & (path < born)).nonzero()[0]
+    if old.size:
+        at = path[old][:, None]
+        scored = table.scored[at, slots]
+        known = scored.sum(axis=0).tolist()
+        table.hits += sum(known)
+        has_entry = np.zeros((m, columns.size), dtype=bool)
+        has_entry[old] = scored
+        i, f = (table.gain[at, slots] > -np.inf).nonzero()
+        if i.size:
+            p, j = path[old[i]], slots[f]
+            found.append((old[i], f, *(getattr(table, name)[p, j]
+                                       for name, _, _ in table.FIELDS[:-1])))
     subsets = {}  # the counted nodes' rows, node of each and positives, by the nodes counted
 
     def counted(need):
@@ -250,24 +274,27 @@ def _level_splits(values, ranks, columns, rows, node, size, pos, criterion, tabl
         cell_node, rank = np.divmod(cell, d)
         scored_here.append(f)
         histograms.append((f * m + cell_node, rank, values[j][rank], count, cell_pos))
+    fresh = None  # the first-best split of each (column, node) group scored here
     if histograms:
-        group, rank, value, count, cell_pos = map(np.concatenate, zip(*histograms))
+        # groups ascend, and so do a group's ranks
+        group, rank, value, count, cell_pos = map(_joined, zip(*histograms))
         # a candidate pairs a present rank with the next one of the same
         # group; the midpoint guards cover float collapse onto a neighbour
         # for extreme adjacent values
-        candidates = np.flatnonzero(group[1:] == group[:-1])
-        lo, hi = value[candidates], value[candidates + 1]
+        candidates = (group[1:] == group[:-1]).nonzero()[0]
+        after = candidates + 1
+        lo, hi = value[candidates], value[after]
         thresholds = 0.5 * (lo + hi)  # may overflow (see fit): inf fails the guard below
         valid = (thresholds >= lo) & (thresholds < hi)
-        candidates, thresholds = candidates[valid], thresholds[valid]
+        if not valid.all():
+            candidates, after, thresholds = candidates[valid], after[valid], thresholds[valid]
     if histograms and candidates.size:
         # a candidate's left rows and positives count from its group's first cell
-        starts = np.flatnonzero(np.concatenate(([True], group[1:] != group[:-1])))
-        start = starts[np.searchsorted(starts, candidates, "right") - 1]
-        before, pos_before = np.cumsum(count) - count, np.cumsum(cell_pos) - cell_pos
-        cand_size = before[candidates + 1] - before[start]
-        cand_pos = pos_before[candidates + 1] - pos_before[start]
         g = group[candidates]
+        start = group.searchsorted(g)
+        before, pos_before = count.cumsum() - count, cell_pos.cumsum() - cell_pos
+        cand_size = before[after] - before[start]
+        cand_pos = pos_before[after] - pos_before[start]
         cand_node = g % m
         lp, ln, n = cand_pos.astype(np.float64), cand_size.astype(np.float64), size_f[cand_node]
         rn, rp = n - ln, pos_f[cand_node] - lp
@@ -276,25 +303,30 @@ def _level_splits(values, ranks, columns, rows, node, size, pos, criterion, tabl
         gains = parent[cand_node] - children
         # candidates run group by group, each group's by threshold, so the
         # first one at its group's maximum has the lowest threshold
-        first = np.flatnonzero(np.concatenate(([True], g[1:] != g[:-1])))
+        starts = _run_starts(g)
+        first = starts.nonzero()[0]
         top = np.maximum.reduceat(gains, first)
-        hits = np.flatnonzero(gains == np.repeat(top, np.diff(np.append(first, g.size))))
-        chosen = hits[np.searchsorted(hits, first)]
+        at_top = (gains == top[starts.cumsum() - 1]).nonzero()[0]
+        chosen = at_top[at_top.searchsorted(first)]
         f, cand_node = np.divmod(g[first], m)
-        found.append((cand_node, f, top, thresholds[chosen], rank[candidates[chosen]],
-                      cand_size[chosen], cand_pos[chosen]))
-    # each node's split: the highest gain, then the lowest column position
-    nodes, f, gain, *fields = (np.concatenate(a) for a in zip(*found))
-    order = np.lexsort((f, -gain, nodes))
-    won = order[np.flatnonzero(np.diff(nodes[order], prepend=-1))]
+        fresh = (cand_node, f, top, thresholds[chosen], rank[candidates[chosen]],
+                 cand_size[chosen], cand_pos[chosen])
+        found.append(fresh)
     out = (np.full(m, -1, dtype=np.intp), np.full(m, -np.inf), np.zeros(m),
            *(np.zeros(m, dtype=np.int64) for _ in range(3)))
-    for array, value in zip(out, (f, gain, *fields)):
-        array[nodes[won]] = value[won]
+    if found:
+        # each node's split: the highest gain, then the lowest column position
+        nodes, f, gain, *fields = map(_joined, zip(*found))
+        order = np.lexsort((f, -gain, nodes))
+        won = order[_run_starts(nodes[order])]
+        winners = nodes[won]
+        for array, value in zip(out, (f, gain, *fields)):
+            array[winners] = value[won]
+    tracked = path[path >= 0]
     if tracked.size and scored_here:  # store what was scored at the kept nodes
-        table.scored[at[:, None], slots[scored_here]] = True
-        if len(found) > 1:
-            nodes, f, *fields = found[1]
+        table.scored[tracked[:, None], slots[scored_here]] = True
+        if fresh is not None:
+            nodes, f, *fields = fresh
             kept = path[nodes] >= 0
             p, j = path[nodes[kept]], slots[f[kept]]
             for (name, _, _), value in zip(table.FIELDS, fields):
@@ -311,10 +343,12 @@ def fit(train: BinaryLabeledDataset, criterion: str = "entropy",
     training set's rank table (``train.ranks``, made by the first fit on the
     matrix), so no projected copy is built. The split searches go through
     ``table``, which must be made for this training set and criterion: it
-    serves the searches earlier fits made and keeps this fit's. Without one
-    the fit makes its own. The tree is always grown to purity: a node becomes
-    a leaf only when it is pure or has no candidate split. Same inputs always
-    give an identical tree.
+    serves the searches earlier fits made and keeps this fit's. Only paths
+    the table held when the fit started can have entries, so a level whose
+    kept paths are all new reads none. Without a table the fit makes its
+    own. The tree is always grown to purity: a node becomes a leaf only when
+    it is pure or has no candidate split. Same inputs always give an
+    identical tree.
     """
     check_criterion(criterion)
     X = np.asarray(train.features, dtype=np.float64)
@@ -332,7 +366,9 @@ def fit(train: BinaryLabeledDataset, criterion: str = "entropy",
         raise ValueError("a split table serves only the training set and criterion "
                          "it was made for")
     n = y.size
+    born = table.paths  # ids from here on are paths this fit makes
     ranks, values = train.ranks.of(X)
+    flat_ranks = ranks.reshape(-1)  # column j's rank of row i at j * n + i
     column_of = np.asarray(columns)
 
     def is_open(size: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -355,44 +391,47 @@ def fit(train: BinaryLabeledDataset, criterion: str = "entropy",
     while size.size:
         with np.errstate(over="ignore"):  # an overflowing midpoint is no candidate
             feature, decrease, threshold, cut, left_size, left_pos = _level_splits(
-                values, ranks, column_of, rows, node, size, pos, criterion, table, path)
-        split = feature >= 0
-        if not split.any():
+                values, ranks, column_of, rows, node, size, pos, criterion, table, path, born)
+        split = (feature >= 0).nonzero()[0]
+        if not split.size:
             break
-        # children are numbered breadth-first: by parent id, left before right
-        parents = ids[split]
-        left_id = made_count + 2 * np.arange(parents.size)
-        made_count += 2 * parents.size
-        splits.append((parents, feature[split], threshold[split], decrease[split],
-                       left_id, left_id + 1))
+        # the children by (split node, side), numbered breadth-first: by
+        # parent id, left before right
+        child_id = np.arange(made_count, made_count + 2 * split.size)
+        made_count += child_id.size
+        splits.append((ids[split], feature[split], threshold[split], decrease[split],
+                       child_id[::2], child_id[1::2]))
         depth += 1
-        ls, lp = left_size[split], left_pos[split]
-        rs, rp = size[split] - ls, pos[split] - lp
-        # the children by (split node, side)
-        child_id, child_size, child_pos, child_open = (
-            np.array(pair).ravel("F") for pair in ((left_id, left_id + 1), (ls, rs), (lp, rp),
-                                                   (is_open(ls, lp), is_open(rs, rp))))
+        child_size, child_pos = np.empty((2, child_id.size), dtype=np.int64)
+        child_size[::2], child_pos[::2] = left_size[split], left_pos[split]
+        child_size[1::2] = size[split] - child_size[::2]
+        child_pos[1::2] = pos[split] - child_pos[::2]
         made.append((child_size, child_pos))
-        order = np.flatnonzero(child_open)  # the next level's nodes
+        child_open = is_open(child_size, child_pos)
+        order = child_open.nonzero()[0]  # the next level's nodes
         if not order.size:
             break
         # the children's paths, kept for open ones above the floor
         child_path = np.full(child_id.size, -1, dtype=np.intp)
-        step = np.repeat(np.flatnonzero(split), 2)
-        keep = np.flatnonzero(child_open & (path[step] >= 0) & (child_size >= table.floor))
+        step = split.repeat(2)
+        keep = (child_open & (path[step] >= 0) & (child_size >= table.floor)).nonzero()[0]
         if keep.size:
             at = step[keep]
             child_path[keep] = table.child_paths(path[at], column_of[feature[at]], cut[at],
                                                  keep % 2)
         path = child_path[order]
-        ids, size, pos = (a[order] for a in (child_id, child_size, child_pos))
-        child = np.full(2 * feature.size, -1, dtype=np.intp)  # the next level's, by (node, side)
-        child[(2 * np.flatnonzero(split)[:, None] + (0, 1)).ravel()[order]] = np.arange(order.size)
+        ids, size, pos = child_id[order], child_size[order], child_pos[order]
+        # the next level's node of each (node, side)
+        child = np.full((feature.size, 2), -1, dtype=np.intp)
+        nested = np.full(child_id.size, -1, dtype=np.intp)
+        nested[order] = np.arange(order.size)
+        child[split] = nested.reshape(-1, 2)
         # a row goes right when its rank in the split column is above the cut;
         # rows of a node without a split read any column and drop out
-        right = ranks[column_of[feature[node]], rows] > cut[node]
-        node = child[2 * node + right]
-        rows, node = rows[node >= 0], node[node >= 0]
+        right = flat_ranks[(column_of[feature] * n)[node] + rows] > cut[node]
+        node = child.reshape(-1)[2 * node + right]
+        stays = node >= 0
+        rows, node = rows[stays], node[stays]
 
     node_size, node_pos = map(np.concatenate, zip(*made))
     counts = np.c_[node_size - node_pos, node_pos]
@@ -412,12 +451,14 @@ def predict_batch(tree: DecisionTree, features) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != tree.feature_count:
         raise ValueError(f"expected a matrix with {tree.feature_count} columns, "
                          f"got shape {X.shape}")
+    flat, k = X.reshape(-1), X.shape[1]  # row i's feature j at i * k + j
     node = np.zeros(X.shape[0], dtype=np.intp)
     rows = np.arange(X.shape[0])
     while rows.size:
         at = node[rows]
-        inner = tree.feature[at] >= 0
-        rows, at = rows[inner], at[inner]
-        go_left = X[rows, tree.feature[at]] <= tree.threshold[at]
+        feature = tree.feature[at]
+        inner = feature >= 0
+        rows, at, feature = rows[inner], at[inner], feature[inner]
+        go_left = flat[rows * k + feature] <= tree.threshold[at]
         node[rows] = np.where(go_left, tree.left[at], tree.right[at])
     return tree.predicted[node]

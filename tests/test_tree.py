@@ -493,6 +493,10 @@ def test_fits_through_one_split_table_match_table_free_fits(request, target):
         # a node-size floor keeps fewer paths
         floored = assert_same_through_table(train, criterion, order, min_share=0.05)
         assert 1 < floored.paths < table.paths
+        # a floor of every row keeps only the root, so no level below it has
+        # a kept node
+        rooted = assert_same_through_table(train, criterion, order, min_share=1.0)
+        assert rooted.paths == 1 and rooted.hits > 0
     # a table that is full after three paths scores the other nodes afresh
     cap = 3 * SplitTable(train, "gini").width * SplitTable.ENTRY_BYTES
     table = assert_same_through_table(train, "gini", column_sets[:4], max_bytes=cap)
@@ -623,6 +627,51 @@ def test_table_searches_the_root_once(synth_encoded, monkeypatch):
         for tree in (first, second):
             for name in TREE_ARRAYS:
                 assert getattr(tree, name).tobytes() == getattr(alone, name).tobytes(), name
+
+
+def test_table_entries_are_read_only_for_paths_older_than_the_fit(synth_burst, monkeypatch):
+    train, _ = synth_burst
+    columns = list(range(0, len(train.feature_names), 2))
+    levels = []  # per level: [whether a node has a kept path, indexed entry reads]
+
+    class ReadSpy(np.ndarray):
+        def __getitem__(self, key):
+            levels[-1][1] += 1
+            return np.asarray(super().__getitem__(key))
+
+    real_grow, real_level = SplitTable._grow, tree_module._level_splits
+
+    def grow(self, capacity):
+        real_grow(self, capacity)
+        for name, _, _ in self.FIELDS:
+            setattr(self, name, getattr(self, name).view(ReadSpy))
+
+    def level(*args):
+        path = args[9]
+        levels.append([bool((path >= 0).any()), 0])
+        return real_level(*args)
+
+    monkeypatch.setattr(SplitTable, "_grow", grow)
+    monkeypatch.setattr(tree_module, "_level_splits", level)
+    projected = project(train, FeatureMask.from_indices(columns))
+    for criterion in CRITERIA:
+        table = SplitTable(train, criterion)
+        levels.clear()
+        first = fit(train, criterion, columns, table)
+        # every path below the root is made by this fit, so only the root reads
+        assert first.depth >= 5 and sum(kept for kept, _ in levels[1:]) >= 3
+        assert levels[0][0] and levels[0][1] > 0
+        assert [reads for _, reads in levels[1:]] == [0] * (len(levels) - 1)
+        levels.clear()
+        second = fit(train, criterion, columns, table)
+        # the refit finds every kept path made, so each level with one reads
+        assert [reads > 0 for _, reads in levels] == [kept for kept, _ in levels]
+        alone = fit(train, criterion, columns)
+        arrays = bfs_arrays(pernode_fit(projected, criterion).root)
+        for tree in (first, second):
+            for name in TREE_ARRAYS:
+                assert getattr(tree, name).tobytes() == getattr(alone, name).tobytes() \
+                    == arrays[name].tobytes(), name
 
 
 def test_one_pass_scores_each_level(synth_burst, monkeypatch):
