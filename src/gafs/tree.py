@@ -235,7 +235,7 @@ def _level_splits(values, ranks, columns, rows, node, size, pos, criterion, tabl
     # threshold, cut rank, left size and positives; first the entries read
     found = []
     known = [0] * columns.size  # nodes with an entry, by column
-    old = ((path >= 0) & (path < born)).nonzero()[0]
+    old = ((path >= 0) & (path < born)).nonzero()[0]  # nodes whose path may hold entries
     if old.size:
         at = path[old][:, None]
         scored = table.scored[at, slots]
@@ -451,7 +451,11 @@ def predict_batch(tree: DecisionTree, features) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != tree.feature_count:
         raise ValueError(f"expected a matrix with {tree.feature_count} columns, "
                          f"got shape {X.shape}")
-    flat, k = X.reshape(-1), X.shape[1]  # row i's feature j at i * k + j
+    if not X.flags.f_contiguous:
+        X = np.ascontiguousarray(X)
+    # a view of either layout: row i's feature j at i * row_step + j * column_step
+    flat = X.ravel(order="A")
+    row_step, column_step = (stride // X.itemsize for stride in X.strides)
     node = np.zeros(X.shape[0], dtype=np.intp)
     rows = np.arange(X.shape[0])
     while rows.size:
@@ -459,6 +463,6 @@ def predict_batch(tree: DecisionTree, features) -> np.ndarray:
         feature = tree.feature[at]
         inner = feature >= 0
         rows, at, feature = rows[inner], at[inner], feature[inner]
-        go_left = flat[rows * k + feature] <= tree.threshold[at]
+        go_left = flat[rows * row_step + feature * column_step] <= tree.threshold[at]
         node[rows] = np.where(go_left, tree.left[at], tree.right[at])
     return tree.predicted[node]

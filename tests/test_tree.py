@@ -547,6 +547,19 @@ def test_predict_batch_agrees_with_predict_on_deep_trees(synth_burst):
     assert list(predict_batch(tree, test.features)) == [predict(tree, r) for r in test.features]
 
 
+def test_predict_batch_reads_every_matrix_layout(synth_burst):
+    train, test = synth_burst
+    columns = list(range(0, len(train.feature_names), 3))
+    tree = fit(train, "gini", columns)
+    X = test.features[:, columns]  # a projection is column-major
+    assert X.flags.f_contiguous and not X.flags.c_contiguous
+    want = [predict(tree, r) for r in X]
+    for matrix, expected in ((X, want), (np.ascontiguousarray(X), want),
+                             (X[::-1], want[::-1]),  # neither layout
+                             (np.repeat(X, 2, axis=1)[:, ::2], want)):
+        assert list(predict_batch(tree, matrix)) == expected
+
+
 # ------------------------------------------------------ the shared rank table
 
 
