@@ -41,7 +41,7 @@ class ExperimentConfig:
     target: str  # attack name, comma-separated names, or "dos-all"
     criterion: str = "entropy"
     fixed_features: tuple[str, ...] | None = None
-    ga: GAConfig | None = None
+    ga: GAConfig | None = None  # required in ga mode, refused in fixed mode
 
     def __post_init__(self) -> None:
         check_criterion(self.criterion)
@@ -56,6 +56,8 @@ class ExperimentConfig:
         if self.ga is not None and self.ga.criterion != self.criterion:
             raise ValueError(f"GA criterion {self.ga.criterion!r} differs from the "
                              f"experiment criterion {self.criterion!r}")
+        if self.mode == "fixed" and self.ga is not None:
+            raise ValueError("fixed mode runs no search and takes no GAConfig")
 
     def fixed_mask(self) -> FeatureMask:
         """The mask of ``fixed_features``, blank names skipped."""

@@ -3,18 +3,19 @@
 Input files are comma-separated text with no header: 41 feature columns
 followed by the attack label, and in the commonly distributed variants a
 trailing difficulty score (42 or 43 columns total), which is checked and
-dropped. Loading is columnar: ``parse_file`` reads a file once, a block of
-lines at a time, with numpy's C reader, the whole-number columns (and the
-difficulty) as int64 and the rates as float64, into one float matrix of the
-numeric columns, and each symbolic column and the labels as ``Categories``:
-the distinct values and one code per row. It checks every rule of the format
-on the result, and hands any file that fails one to a block checker that
-names the line at fault. ``build_codebook`` numbers the training set's
-symbolic values, ``encode`` maps each column's distinct values through the
-codebook and takes the rows' codes from them, and ``relabel`` marks the
-distinct labels and takes the targets likewise. An encoded set's rank table
-(``ColumnRanks``), which the trees read, is made by the first fit on it and
-shared with its relabels.
+dropped. Loading is columnar: ``parse_file`` reads a file of one width (42
+or 43 columns on every line) once, a block of lines at a time, with numpy's
+C reader, the whole-number columns (and the difficulty) as int64 and the
+rates as float64, into one float matrix of the numeric columns, and each
+symbolic column and the labels as ``Categories``: the distinct values and
+one code per row. It checks every rule of the format on the result. Every
+other file, and any file that the read refuses, goes to a block checker,
+which reads it with ``float()`` and names the line at fault.
+``build_codebook`` numbers the training set's symbolic values, ``encode``
+maps each column's distinct values through the codebook and takes the rows'
+codes from them, and ``relabel`` marks the distinct labels and takes the
+targets likewise. An encoded set's rank table (``ColumnRanks``), which the
+trees read, is made by the first fit on it and shared with its relabels.
 """
 
 from __future__ import annotations
@@ -59,6 +60,11 @@ _SYMBOLIC_INDEX = [FEATURE_NAMES.index(name) for name in SYMBOLIC_COLUMNS]
 # Of those, the 15 rates are fractions; the other 23 hold whole numbers.
 _RATE_INDEX = [i for i in _NUMERIC_INDEX if FEATURE_NAMES[i].endswith("_rate")]
 _COUNT_INDEX = [i for i in _NUMERIC_INDEX if i not in _RATE_INDEX]
+# The numeric columns in file order, in runs of one type for _load_columns:
+# int64 for whole numbers, float64 for rates, so that each run's subarray is
+# copied into the numeric matrix as one slice.
+_RUNS = [(np.int64 if whole else np.float64, list(columns))
+         for whole, columns in itertools.groupby(_NUMERIC_INDEX, _COUNT_INDEX.__contains__)]
 
 # Lines read at a time by parse_file's C reader and by the checker it falls
 # back to; reading a whole file at once holds all its field strings together
@@ -133,6 +139,8 @@ class FeatureMask:
 
     @classmethod
     def from_bits(cls, bits: str) -> "FeatureMask":
+        if not set(bits) <= {"0", "1"}:
+            raise ValueError(f"mask bits must be '0' or '1', got {bits!r}")
         return cls(tuple(c == "1" for c in bits))
 
     @classmethod
@@ -336,14 +344,11 @@ def parse_file(path: str | Path, role: str = "") -> RawDataset:
     blank line before the last row and a numeric field that does not parse
     to a finite number, raises ParseError naming the file and line.
 
-    The file is read once by ``np.loadtxt``, a block of lines at a time, with
-    the whole-number columns and the difficulty as int64. A file whose text
-    holds "-0", or on which that read fails in any block, is read again with
-    every number as float64 and the difficulty as a string. A file on which
-    that fails too, or whose
-    result breaks one of these rules, is parsed again by ``_parse_block`` a
-    block of lines at a time, which decides whether it is accepted and words
-    the error.
+    A file of one width, 42 or 43 columns on every line, is read once by
+    ``_load_columns`` unless its text holds "-0" or a character that read
+    misreads. Any other file, and one that read refuses, is parsed by
+    ``_parse_block`` a block of lines at a time, which decides whether it is
+    accepted and words the error.
     """
     path = Path(path)
     # split on "\n" only, so line numbers match what an editor shows; a "\r"
@@ -353,24 +358,20 @@ def parse_file(path: str | Path, role: str = "") -> RawDataset:
     lines = text.split("\n")
     while lines and not lines[-1].strip():
         lines.pop()
-    # the reader misreads a few characters; an empty file goes to the checker too
-    if lines and not any(char in text for char in _LOADTXT_MISREADS):
-        width = lines[0].count(",")
-        # lines of one width hold width * len(lines) commas; then a shorter
-        # line fails the read, and so no line can be longer
-        if width in (N_FEATURES, N_FEATURES + 1) and text.count(",") == width * len(lines):
-            widths = {width}
-        else:
-            widths = set(map(str.count, lines, itertools.repeat(",")))
-        # int64 reads "-0" as 0, where float64 keeps the sign of -0.0; "-" alone
-        # is found by one memchr, and re finds "-0" faster than str does
-        typed = "-" not in text or re.search("-0", text) is None
-        del text
-        loaded = _load_columns(lines, widths, typed=True) if typed else None
-        if loaded is None:
-            loaded = _load_columns(lines, widths, typed=False)
-        if loaded is not None:
-            return RawDataset(*loaded, role=role)
+    width = lines[0].count(",") if lines else 0
+    # lines of one width hold width * len(lines) commas; then a shorter line
+    # fails the read (a blank one is skipped, which _load_columns sees), and
+    # so no line can be longer. The reader misreads a few characters, and
+    # int64 reads "-0" as 0 where float() keeps the sign of -0.0; "-" alone is
+    # found by one memchr, and re finds "-0" faster than str does
+    one_read = (width in (N_FEATURES, N_FEATURES + 1)
+                and text.count(",") == width * len(lines)
+                and not any(char in text for char in _LOADTXT_MISREADS)
+                and ("-" not in text or re.search("-0", text) is None))
+    del text
+    loaded = _load_columns(lines, difficulty=width > N_FEATURES) if one_read else None
+    if loaded is not None:
+        return RawDataset(*loaded, role=role)
     numeric = np.empty((len(lines), len(NUMERIC_COLUMNS)), dtype=np.float64)
     coders = [_Coder() for _ in range(len(SYMBOLIC_COLUMNS) + 1)]
     for start in range(0, len(lines), _BLOCK_LINES):
@@ -380,27 +381,15 @@ def parse_file(path: str | Path, role: str = "") -> RawDataset:
     return RawDataset(numeric, dict(zip(SYMBOLIC_COLUMNS, symbolic)), labels, role=role)
 
 
-def _load_columns(lines: list[str], widths: set[int], typed: bool):
-    """``lines`` read by ``np.loadtxt`` a block at a time, as (numeric matrix,
-    symbolic columns, labels), or None if it fails or a line breaks a rule
-    that ``_parse_block`` checks. ``widths`` are the lines' comma counts;
-    ``typed`` reads the whole-number columns and the difficulty as int64."""
-    if not widths.issubset((N_FEATURES, N_FEATURES + 1)):
-        return None  # a blank or ragged line, which loadtxt would skip or accept
-    # the numeric columns in file order, in runs of one type, so that each
-    # run's subarray is copied into the matrix as one slice
-    runs = [(np.int64 if whole else np.float64, list(columns)) for whole, columns in
-            itertools.groupby(_NUMERIC_INDEX, lambda column: typed and column in _COUNT_INDEX)]
-    strings = [*_SYMBOLIC_INDEX, N_FEATURES]
-    parts = [*runs, (object, strings)]
-    difficulties: set[str] = set()  # read as strings, checked with int()
-    if widths == {N_FEATURES + 1}:  # every line has a difficulty: read it too
-        if typed:
-            parts.append((np.int64, [N_FEATURES + 1]))
-        else:
-            strings.append(N_FEATURES + 1)
-    elif N_FEATURES + 1 in widths:  # some lines have one: take those alone
-        difficulties = {line.rpartition(",")[2] for line in lines if line.count(",") > N_FEATURES}
+def _load_columns(lines: list[str], difficulty: bool):
+    """``lines``, all of one width, read by ``np.loadtxt`` a block at a time,
+    as (numeric matrix, symbolic columns, labels), or None if it fails or a
+    line breaks a rule that ``_parse_block`` checks. The whole-number columns
+    are read as int64, the rates as float64, and, when every line has one
+    (``difficulty``), the difficulty as int64, to check it and drop it."""
+    parts = [*_RUNS, (object, [*_SYMBOLIC_INDEX, N_FEATURES])]
+    if difficulty:
+        parts.append((np.int64, [N_FEATURES + 1]))
     # usecols sends each part's columns to one subarray field (named f0, f1, ...);
     # object makes each string one str (str would cast chunks to a fixed width);
     # max_rows sizes each result
@@ -423,23 +412,16 @@ def _load_columns(lines: list[str], widths: set[int], typed: bool):
             return None  # a skipped line
         rows = numeric[start:start + len(block)]
         at = 0
-        for name, (kind, columns) in zip(dtype.names, runs):
+        for name, (kind, columns) in zip(dtype.names, _RUNS):
             if kind is np.float64 and not np.isfinite(read[name]).all():
                 return None
             rows[:, at:at + len(columns)] = read[name]
             at += len(columns)
-        fields = read[dtype.names[len(runs)]].T.tolist()
-        for coder, values in zip(coders, fields):
+        for coder, values in zip(coders, read[dtype.names[len(_RUNS)]].T.tolist()):
             coder.add(values)
-        difficulties.update(*fields[len(coders):])  # the difficulty, if read as a string
     *symbolic, labels = (coder.done() for coder in coders)
     if any("" in column.values for column in (*symbolic, labels)):
         return None  # an empty field
-    try:
-        for value in difficulties:
-            int(value.strip())
-    except ValueError:
-        return None
     return numeric, dict(zip(SYMBOLIC_COLUMNS, symbolic)), labels
 
 

@@ -139,6 +139,13 @@ def test_mismatched_ga_criterion_rejected_before_any_file_is_read(tmp_path):
     assert consistent.ga.criterion == "gini"
 
 
+def test_fixed_mode_with_ga_config_rejected_before_any_file_is_read(tmp_path):
+    absent = tmp_path / "absent.txt"
+    with pytest.raises(ValueError, match="fixed mode runs no search and takes no GAConfig"):
+        ExperimentConfig(train_path=absent, test_path=absent, mode="fixed", target="land",
+                         fixed_features=("land",), ga=GAConfig(seed=5))
+
+
 def test_unknown_fixed_feature_rejected_before_any_file_is_read(tmp_path):
     absent = tmp_path / "absent.txt"
     with pytest.raises(ValueError, match="unknown feature name\\(s\\) bogus; valid names"):

@@ -235,17 +235,17 @@ _READER_CASES = {
     "blank label": (_LINE + "\n" + make_line(label="  ") + "\n", True),
     "non-finite number": (_LINE + "\n" + with_field(4, "1e999") + "\n", True),
     "bad difficulty": (_LINE_43 + "\n" + make_line(difficulty="7.5") + "\n", True),
-    # accepted variants the C reader handles
-    "crlf": (_LINE_43 + "\r\n" + _LINE + "\r\n", False),
-    "mixed 42 and 43 columns": ("\n".join([_LINE, _LINE_43, _LINE, _LINE_43]) + "\n", False),
+    # accepted variants; a file that mixes 42 and 43 columns goes to the checker
+    "crlf": (_LINE_43 + "\r\n" + _LINE + "\r\n", True),
+    "mixed 42 and 43 columns": ("\n".join([_LINE, _LINE_43, _LINE, _LINE_43]) + "\n", True),
     "spaced difficulty": (make_line(difficulty=" 3 ") + "\n", False),
-    "bom": ("\ufeff" + _LINE_43 + "\n" + _LINE + "\n\n", False),
-    # whole numbers the int64 read leaves to the float64 one; -0 keeps its sign
-    "negative zero count": (with_field(4, "-0") + "\n", False),
-    "decimal count": (with_field(0, "3.5") + "\n", False),
-    "count past int64": (with_field(4, "99999999999999999999") + "\n", False),
-    "underscored difficulty": (make_line(difficulty="1_0") + "\n", False),
-    # and ones it reads, to the same float64
+    "bom": ("\ufeff" + _LINE_43 + "\n" + _LINE + "\n\n", True),
+    # whole numbers the int64 read refuses, read by the checker; -0 keeps its sign
+    "negative zero count": (with_field(4, "-0") + "\n", True),
+    "decimal count": (with_field(0, "3.5") + "\n", True),
+    "count past int64": (with_field(4, "99999999999999999999") + "\n", True),
+    "underscored difficulty": (make_line(difficulty="1_0") + "\n", True),
+    # and ones it reads, to the checker's float64
     "signed count": (with_field(22, "+7") + "\n", False),
     "count past 2**53": (with_field(4, str(2**53 + 1)) + "\n", False),
 }
@@ -282,7 +282,7 @@ _MIXED = [line.rpartition(",")[0] if i % 3 else line for i, line in enumerate(_V
 
 # (file lines, whether parse_file must fall back to the block checker)
 _BLOCK_CASES = {
-    "mixed 42 and 43 columns across blocks": (_MIXED, False),
+    "mixed 42 and 43 columns across blocks": (_MIXED, True),
     "float-only number in the last block": (_VARIED + [with_field(0, "1_0", difficulty=7)], True),
     "non-finite number in the last block": (_VARIED + [with_field(4, "1e999", difficulty=7)], True),
     "blank label in the last block": (_VARIED + [make_line(label=" ", difficulty=7)], True),
@@ -505,9 +505,11 @@ _number = st.one_of(
 _whole_number = st.integers(min_value=-10**18, max_value=10**18).map(str)
 
 
-def _nslkdd_lines(symbols, whole=_number):
+def _nslkdd_lines(symbols, whole=_number,
+                  difficulty=st.none() | st.integers(min_value=0, max_value=21)):
     """Lists of NSL-KDD lines, each 42 or 43 columns, with no stray whitespace;
-    the 23 whole-number columns are drawn from ``whole``, the rates from ``_number``."""
+    the 23 whole-number columns are drawn from ``whole``, the rates from
+    ``_number``, and each line's difficulty (None for none) from ``difficulty``."""
     def line(parts):
         numbers, symbolic, label, difficulty = parts
         fields = numbers[:1] + symbolic + numbers[1:] + [label]
@@ -518,7 +520,7 @@ def _nslkdd_lines(symbols, whole=_number):
                     for name in NUMERIC_COLUMNS)).map(list),
         st.lists(symbols, min_size=len(SYMBOLIC_COLUMNS), max_size=len(SYMBOLIC_COLUMNS)),
         _token,
-        st.none() | st.integers(min_value=0, max_value=21),
+        difficulty,
     )
     return st.lists(parts.map(line), min_size=1, max_size=8)
 
@@ -558,23 +560,26 @@ def test_columnar_load_matches_rowwise_reference_property(
     with mock.patch.object(nslkdd, "_BLOCK_LINES", block_lines), \
             mock.patch.object(nslkdd, "_parse_block", wraps=nslkdd._parse_block) as spy:
         assert_same_load(expected, columnar_load(*paths))
-    # clean files take the C reader
-    fell_back = {call.args[1] for call in spy.call_args_list}
-    assert fell_back == (set() if float_only is None else {"train.txt"})
+    if float_only is not None:
+        assert "train.txt" in {call.args[1] for call in spy.call_args_list}
 
 
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
-    train=_nslkdd_lines(st.sampled_from(["tcp", "udp", "icmp"]), whole=_whole_number),
-    test=_nslkdd_lines(st.sampled_from(["tcp", "udp", "icmp", "igmp", "gre"]), whole=_whole_number),
+    # one width per file: train with a difficulty on every line, test with none
+    train=_nslkdd_lines(st.sampled_from(["tcp", "udp", "icmp"]), whole=_whole_number,
+                        difficulty=st.integers(min_value=0, max_value=21)),
+    test=_nslkdd_lines(st.sampled_from(["tcp", "udp", "icmp", "igmp", "gre"]),
+                       whole=_whole_number, difficulty=st.none()),
     newline=st.sampled_from(["\n", "\r\n"]),
     block_lines=st.integers(min_value=1, max_value=5),
 )
 def test_int64_read_matches_rowwise_reference_property(tmp_path, train, test, newline, block_lines):
+    names = ("train.txt", "test.txt")
     texts = [newline.join(lines) + newline for lines in (train, test)]
     paths = []
-    for name, text in zip(("train.txt", "test.txt"), texts):
+    for name, text in zip(names, texts):
         path = tmp_path / name
         path.write_bytes(text.encode())
         paths.append(path)
@@ -582,18 +587,21 @@ def test_int64_read_matches_rowwise_reference_property(tmp_path, train, test, ne
     reads = []
     load = nslkdd._load_columns
 
-    def spy(lines, widths, typed):
-        loaded = load(lines, widths, typed)
-        reads.append((typed, loaded is not None))
+    def spy(lines, difficulty):
+        loaded = load(lines, difficulty)
+        reads.append((difficulty, loaded is not None))
         return loaded
 
     with mock.patch.object(nslkdd, "_BLOCK_LINES", block_lines), \
             mock.patch.object(nslkdd, "_load_columns", spy), \
             mock.patch.object(nslkdd, "_parse_block", wraps=nslkdd._parse_block) as checker:
         assert_same_load(expected, columnar_load(*paths))
-    assert not checker.called
-    # the int64 read serves each file, unless a "-0" (a rate's -0.0) rules it out
-    assert reads == [("-0" not in text, True) for text in texts]
+    # the C reader serves each file, unless a "-0" (a rate's -0.0) sends it to
+    # the checker; it reads the training file's difficulty
+    clean = ["-0" not in text for text in texts]
+    assert reads == [(name == "train.txt", True) for name, ok in zip(names, clean) if ok]
+    checked = {call.args[1] for call in checker.call_args_list}
+    assert checked == {name for name, ok in zip(names, clean) if not ok}
 
 
 # ------------------------------------------------------------------- relabel
@@ -693,6 +701,12 @@ def test_mask_bits_round_trip():
     assert mask.selected_count == 3
     assert FeatureMask.from_bits(mask.bits()) == mask
     assert mask.selected_names() == ("duration", "land", "dst_host_srv_rerror_rate")
+
+
+@pytest.mark.parametrize("bits", ["1" * 40 + "x", "1 " * 20 + "1", "1" * 40 + "2"])
+def test_mask_from_bits_rejects_other_characters(bits):
+    with pytest.raises(ValueError, match="mask bits must be '0' or '1'"):
+        FeatureMask.from_bits(bits)
 
 
 def test_report_aliases_are_a_bijection_off_the_canonical_names():
