@@ -102,8 +102,9 @@ def main(argv=None) -> int:
         settings = _resolve(args)
 
         if args.verify_appendix:
-            if args.mode:
-                parser.error("--verify-appendix cannot be combined with --mode")
+            for flag in ("mode", "attack", "features"):
+                if getattr(args, flag):
+                    parser.error(f"--verify-appendix cannot be combined with --{flag}")
             rows = verify_appendix(args.train, args.test)
             text = format_verification(rows)
             print(text)

@@ -3,19 +3,25 @@
 Input files are comma-separated text with no header: 41 feature columns
 followed by the attack label, and in the commonly distributed variants a
 trailing difficulty score (42 or 43 columns total), which is checked and
-dropped. Loading is columnar: ``parse_file`` reads a file of one width (42
-or 43 columns on every line) once, a block of lines at a time, with numpy's
-C reader, the whole-number columns (and the difficulty) as int64 and the
-rates as float64, into one float matrix of the numeric columns, and each
-symbolic column and the labels as ``Categories``: the distinct values and
-one code per row. It checks every rule of the format on the result. Every
-other file, and any file that the read refuses, goes to a block checker,
-which reads it with ``float()`` and names the line at fault.
-``build_codebook`` numbers the training set's symbolic values, ``encode``
-maps each column's distinct values through the codebook and takes the rows'
-codes from them, and ``relabel`` marks the distinct labels and takes the
-targets likewise. An encoded set's rank table (``ColumnRanks``), which the
-trees read, is made by the first fit on it and shared with its relabels.
+dropped. Loading is columnar and fills one matrix per file: ``parse_file``
+reads a file whose first line has 42 or 43 columns once, a block of lines
+at a time, with numpy's C reader and one dtype of the file's columns in
+order (the whole-number columns and the difficulty as int64, the rates as
+float64), so the reader refuses a line of another width itself. It writes
+the numbers straight into their columns of a column-major (n, 41) float64
+matrix, and keeps each symbolic column and the labels as ``Categories``:
+the distinct values and one code per row. It checks every rule of the
+format on the result. Every other file, and any file that the read
+refuses, goes to a block checker, which reads it with ``float()`` into the
+same matrix and names the line at fault. ``build_codebook`` numbers the
+training set's symbolic values; ``encode`` maps each column's distinct
+values through the codebook and writes the rows' codes into the matrix's
+symbolic columns, in place, and ``relabel`` marks the distinct labels and
+takes the targets likewise, so the matrix the parse wrote is the one the
+trees read. An encoded set's rank table (``ColumnRanks``), which the trees
+read column by column, is made by the first fit on it and shared with its
+relabels. ``project`` copies a set's mask columns; the pipeline reads the
+columns in place instead.
 """
 
 from __future__ import annotations
@@ -59,12 +65,13 @@ _NUMERIC_INDEX = [FEATURE_NAMES.index(name) for name in NUMERIC_COLUMNS]
 _SYMBOLIC_INDEX = [FEATURE_NAMES.index(name) for name in SYMBOLIC_COLUMNS]
 # Of those, the 15 rates are fractions; the other 23 hold whole numbers.
 _RATE_INDEX = [i for i in _NUMERIC_INDEX if FEATURE_NAMES[i].endswith("_rate")]
-_COUNT_INDEX = [i for i in _NUMERIC_INDEX if i not in _RATE_INDEX]
-# The numeric columns in file order, in runs of one type for _load_columns:
-# int64 for whole numbers, float64 for rates, so that each run's subarray is
-# copied into the numeric matrix as one slice.
-_RUNS = [(np.int64 if whole else np.float64, list(columns))
-         for whole, columns in itertools.groupby(_NUMERIC_INDEX, _COUNT_INDEX.__contains__)]
+# A 43-column file's columns in file order, in runs of one type for
+# _load_columns: object for the symbolic columns and the label, float64 for
+# rates, int64 for whole numbers and the difficulty; (type, first, stop).
+_KINDS = [object if i in _SYMBOLIC_INDEX or i == N_FEATURES else
+          np.float64 if i in _RATE_INDEX else np.int64 for i in range(N_FEATURES + 2)]
+_STARTS = [i for i in range(N_FEATURES + 2) if i == 0 or _KINDS[i] is not _KINDS[i - 1]]
+_RUNS = [(_KINDS[a], a, b) for a, b in zip(_STARTS, [*_STARTS[1:], N_FEATURES + 2])]
 
 # Lines read at a time by parse_file's C reader and by the checker it falls
 # back to; reading a whole file at once holds all its field strings together
@@ -126,6 +133,10 @@ class FeatureMask:
     @classmethod
     def from_indices(cls, indices) -> "FeatureMask":
         wanted = set(indices)
+        bad = [i for i in wanted if i not in range(N_FEATURES)]
+        if bad:
+            raise ValueError(f"feature index(es) {', '.join(map(str, sorted(bad)))} "
+                             f"outside 0..{N_FEATURES - 1}")
         return cls(tuple(i in wanted for i in range(N_FEATURES)))
 
     @classmethod
@@ -175,13 +186,50 @@ class FeatureMask:
 
 def rank_columns(matrix: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """(k, n) int32 dense ranks of each column of ``matrix``, and each column's
-    distinct values in ascending order: ``values[j][ranks[j]]`` is column j."""
+    distinct values in ascending order: ``values[j][ranks[j]]`` is column j.
+
+    A constant column, and one of whole numbers within +-2**52 whose range
+    spans at most n, is ranked by counting its offsets from its minimum; any
+    other column, and one holding -0.0, by ``np.unique``. Both give the same
+    ranks and values. Columns are read one at a time, so a column-major
+    matrix is read in place.
+    """
+    n = matrix.shape[0]
     ranks = np.empty(matrix.shape[::-1], dtype=np.int32)
     values = []
     for j in range(matrix.shape[1]):
-        distinct, ranks[j] = np.unique(matrix[:, j], return_inverse=True)
+        column = matrix[:, j]
+        counted = _count_ranks(column, n) if n else None
+        if counted is None:
+            distinct, ranks[j] = np.unique(column, return_inverse=True)
+        else:
+            distinct, ranks[j] = counted
         values.append(distinct)
     return ranks, tuple(values)
+
+
+def _count_ranks(column: np.ndarray, n: int):
+    """(distinct values, ranks) of a non-empty column of whole numbers within
+    +-2**52 and a range of at most ``n``, from a count of each offset from the
+    minimum, or of a constant column; None for any other column, and for one
+    holding -0.0, whose distinct zero is the one ``np.unique``'s sort puts
+    first."""
+    lo, hi = column.min(), column.max()
+    # -0.0 is the one float64 whose bits are the least int64
+    if lo <= 0.0 <= hi and column.view(np.int64).min() == np.iinfo(np.int64).min:
+        return None
+    if lo == hi:  # one value, so one bit pattern
+        return column[:1].copy(), np.zeros(n, dtype=np.int32)
+    # before hi - lo, which can overflow; NaN fails both
+    if not (-2.0**52 <= lo and hi <= 2.0**52) or hi - lo > n:
+        return None
+    offset = column.astype(np.int64)  # exact within +-2**52
+    if not (offset == column).all():
+        return None
+    offset -= int(lo)
+    present = np.bincount(offset, minlength=int(hi - lo) + 1) > 0
+    rank_of = np.cumsum(present, dtype=np.int32) - 1
+    return (np.flatnonzero(present) + int(lo)).astype(np.float64), rank_of[offset]
 
 
 class ColumnRanks:
@@ -255,22 +303,36 @@ class _Coder:
 
 @dataclass
 class RawDataset:
-    """Parsed columns in file order, with the symbolic columns not yet encoded."""
+    """Parsed columns in file order, with the symbolic columns not yet encoded.
 
-    numeric: np.ndarray  # (n, 38) float64, the NUMERIC_COLUMNS in file order
+    ``features`` is the one large matrix of a load: the parse writes the
+    numbers into their feature columns, and the first ``encode`` writes its
+    codes into the three symbolic columns (0 until then) and takes the matrix
+    as its ``Dataset``'s; a later ``encode`` copies the matrix first. The
+    numeric columns are never written after the parse.
+    """
+
+    features: np.ndarray  # (n, 41) float64, column-major, FEATURE_NAMES order
     symbolic: dict[str, Categories]  # SYMBOLIC_COLUMNS -> stripped values
     labels: Categories  # stripped
     role: str = ""
+    # whether an encode has taken ``features`` for its Dataset
+    encoded: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.labels)
+
+    @property
+    def numeric(self) -> np.ndarray:
+        """(n, 38) float64 copy of the NUMERIC_COLUMNS, in file order."""
+        return self.features[:, _NUMERIC_INDEX]
 
 
 @dataclass
 class Dataset:
     """Encoded rows: a float matrix plus the original labels, in file order."""
 
-    features: np.ndarray  # (n, 41) float64
+    features: np.ndarray  # (n, 41) float64, column-major
     labels: Categories
     feature_names: tuple[str, ...] = FEATURE_NAMES
     ranks: ColumnRanks = field(default_factory=ColumnRanks, repr=False, compare=False)
@@ -344,11 +406,12 @@ def parse_file(path: str | Path, role: str = "") -> RawDataset:
     blank line before the last row and a numeric field that does not parse
     to a finite number, raises ParseError naming the file and line.
 
-    A file of one width, 42 or 43 columns on every line, is read once by
+    A file whose first line has 42 or 43 columns is read once by
     ``_load_columns`` unless its text holds "-0" or a character that read
-    misreads. Any other file, and one that read refuses, is parsed by
-    ``_parse_block`` a block of lines at a time, which decides whether it is
-    accepted and words the error.
+    misreads. Any other file, and one that read refuses (a line of another
+    width among them), is parsed by ``_parse_block`` a block of lines at a
+    time, which decides whether it is accepted and words the error. Either
+    writes the numbers into their columns of the dataset's feature matrix.
     """
     path = Path(path)
     # split on "\n" only, so line numbers match what an editor shows; a "\r"
@@ -359,43 +422,44 @@ def parse_file(path: str | Path, role: str = "") -> RawDataset:
     while lines and not lines[-1].strip():
         lines.pop()
     width = lines[0].count(",") if lines else 0
-    # lines of one width hold width * len(lines) commas; then a shorter line
-    # fails the read (a blank one is skipped, which _load_columns sees), and
-    # so no line can be longer. The reader misreads a few characters, and
-    # int64 reads "-0" as 0 where float() keeps the sign of -0.0; "-" alone is
-    # found by one memchr, and re finds "-0" faster than str does
+    # the read refuses a line of another width itself. It misreads a few
+    # characters, and int64 reads "-0" as 0 where float() keeps the sign of
+    # -0.0; "-" alone is found by one memchr, and re finds "-0" faster than
+    # str does
     one_read = (width in (N_FEATURES, N_FEATURES + 1)
-                and text.count(",") == width * len(lines)
                 and not any(char in text for char in _LOADTXT_MISREADS)
                 and ("-" not in text or re.search("-0", text) is None))
     del text
     loaded = _load_columns(lines, difficulty=width > N_FEATURES) if one_read else None
     if loaded is not None:
         return RawDataset(*loaded, role=role)
-    numeric = np.empty((len(lines), len(NUMERIC_COLUMNS)), dtype=np.float64)
+    features = _feature_matrix(len(lines))
     coders = [_Coder() for _ in range(len(SYMBOLIC_COLUMNS) + 1)]
     for start in range(0, len(lines), _BLOCK_LINES):
         block = lines[start:start + _BLOCK_LINES]
-        _parse_block(block, path.name, start, numeric[start:start + len(block)], coders)
+        _parse_block(block, path.name, start, features[start:start + len(block)], coders)
     *symbolic, labels = (coder.done() for coder in coders)
-    return RawDataset(numeric, dict(zip(SYMBOLIC_COLUMNS, symbolic)), labels, role=role)
+    return RawDataset(features, dict(zip(SYMBOLIC_COLUMNS, symbolic)), labels, role=role)
+
+
+def _feature_matrix(rows: int) -> np.ndarray:
+    """A zeroed (rows, 41) float64 matrix, column-major so each column is contiguous."""
+    return np.zeros((rows, N_FEATURES), dtype=np.float64, order="F")
 
 
 def _load_columns(lines: list[str], difficulty: bool):
-    """``lines``, all of one width, read by ``np.loadtxt`` a block at a time,
-    as (numeric matrix, symbolic columns, labels), or None if it fails or a
-    line breaks a rule that ``_parse_block`` checks. The whole-number columns
-    are read as int64, the rates as float64, and, when every line has one
-    (``difficulty``), the difficulty as int64, to check it and drop it."""
-    parts = [*_RUNS, (object, [*_SYMBOLIC_INDEX, N_FEATURES])]
-    if difficulty:
-        parts.append((np.int64, [N_FEATURES + 1]))
-    # usecols sends each part's columns to one subarray field (named f0, f1, ...);
-    # object makes each string one str (str would cast chunks to a fixed width);
+    """``lines`` read by ``np.loadtxt`` a block at a time, as (feature matrix,
+    symbolic columns, labels), or None if it fails or a line breaks a rule
+    that ``_parse_block`` checks. Each line must have the 42 columns, or with
+    ``difficulty`` the 43, of the read's dtype. The whole-number columns and
+    the difficulty are read as int64, the rates as float64; the difficulty is
+    only checked."""
+    runs = _RUNS if difficulty else _RUNS[:-1]
+    # one subarray field (named f0, f1, ...) per run, in file order; object
+    # makes each string one str (str would cast chunks to a fixed width);
     # max_rows sizes each result
-    dtype = np.dtype([("", kind, (len(columns),)) for kind, columns in parts])
-    usecols = [column for _, columns in parts for column in columns]
-    numeric = np.empty((len(lines), len(_NUMERIC_INDEX)), dtype=np.float64)
+    dtype = np.dtype([("", kind, (stop - first,)) for kind, first, stop in runs])
+    features = _feature_matrix(len(lines))
     coders = [_Coder() for _ in range(len(SYMBOLIC_COLUMNS) + 1)]
     for start in range(0, len(lines), _BLOCK_LINES):
         block = lines[start:start + _BLOCK_LINES]
@@ -405,31 +469,33 @@ def _load_columns(lines: list[str], difficulty: bool):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 read = np.loadtxt(block, dtype, delimiter=",", comments=None, ndmin=1,
-                                  usecols=usecols, max_rows=len(block))
+                                  max_rows=len(block))
         except (ValueError, Warning):
             return None
         if len(read) != len(block):
             return None  # a skipped line
-        rows = numeric[start:start + len(block)]
-        at = 0
-        for name, (kind, columns) in zip(dtype.names, _RUNS):
-            if kind is np.float64 and not np.isfinite(read[name]).all():
-                return None
-            rows[:, at:at + len(columns)] = read[name]
-            at += len(columns)
-        for coder, values in zip(coders, read[dtype.names[len(_RUNS)]].T.tolist()):
+        rows = features[start:start + len(block)]
+        strings = []  # the symbolic columns, then the labels
+        for name, (kind, first, stop) in zip(dtype.names, runs):
+            if kind is object:
+                strings += read[name].T.tolist()
+            elif stop <= N_FEATURES:
+                if kind is np.float64 and not np.isfinite(read[name]).all():
+                    return None
+                rows[:, first:stop] = read[name]
+        for coder, values in zip(coders, strings):
             coder.add(values)
     *symbolic, labels = (coder.done() for coder in coders)
     if any("" in column.values for column in (*symbolic, labels)):
         return None  # an empty field
-    return numeric, dict(zip(SYMBOLIC_COLUMNS, symbolic)), labels
+    return features, dict(zip(SYMBOLIC_COLUMNS, symbolic)), labels
 
 
-def _parse_block(lines: list[str], file_name: str, first: int, numeric: np.ndarray,
+def _parse_block(lines: list[str], file_name: str, first: int, features: np.ndarray,
                  coders: list[_Coder]) -> None:
     """Check the block of lines that starts after line ``first`` of the file;
-    fill ``numeric`` with its numeric columns and add its symbolic columns and
-    labels, in that order, to ``coders``."""
+    write its numbers into their columns of ``features`` (the block's rows)
+    and add its symbolic columns and labels, in that order, to ``coders``."""
 
     def error(row: int, message: str) -> ParseError:
         return ParseError(f"{file_name}: line {first + row + 1}: {message}")
@@ -454,7 +520,7 @@ def _parse_block(lines: list[str], file_name: str, first: int, numeric: np.ndarr
         if name in SYMBOLIC_COLUMNS:
             coders[SYMBOLIC_COLUMNS.index(name)].add(column)
             continue
-        out = numeric[:, NUMERIC_COLUMNS.index(name)]
+        out = features[:, ci]
         try:
             out[:] = np.asarray(column, dtype=np.float64)
         except ValueError:  # numpy parses str with float(); find the value it refused
@@ -493,21 +559,22 @@ def build_codebook(train: RawDataset) -> Codebook:
 
 
 def encode(data: RawDataset, book: Codebook) -> Dataset:
-    """Replace symbolic columns by codebook codes, beside the numeric columns.
+    """Fill the symbolic columns of the parsed matrix with codebook codes.
 
-    Categories absent from the codebook are appended to it with the next free
-    code, in first-appearance order; the codebook records the append so the
-    run report can surface it.
+    The first encode of ``data`` writes the codes into ``data.features`` and
+    hands that matrix to the Dataset, so no copy is made; a later one (say
+    with another codebook) copies it first, which leaves earlier Datasets as
+    they were. Each column's distinct values are looked up once. Categories
+    absent from the codebook are appended to it with the next free code, in
+    first-appearance order; the codebook records the append so the run
+    report can surface it.
     """
-    features = np.empty((len(data), N_FEATURES), dtype=np.float64)
-    # the symbolic columns are one run (or the shapes differ): copy around it
-    first, end = _SYMBOLIC_INDEX[0], _SYMBOLIC_INDEX[-1] + 1
-    features[:, :first] = data.numeric[:, :first]
-    features[:, end:] = data.numeric[:, first:]
-    for name in SYMBOLIC_COLUMNS:
+    features = data.features.copy(order="F") if data.encoded else data.features
+    data.encoded = True
+    for name, at in zip(SYMBOLIC_COLUMNS, _SYMBOLIC_INDEX):
         column = data.symbolic[name]
         codes = np.array([book.code_for(name, value) for value in column.values], dtype=np.float64)
-        features[:, FEATURE_NAMES.index(name)] = codes[column.codes]
+        features[:, at] = codes[column.codes]
     return Dataset(features=features, labels=data.labels)
 
 

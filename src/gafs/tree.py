@@ -445,17 +445,31 @@ def fit(train: BinaryLabeledDataset, criterion: str = "entropy",
                         tuple(train.feature_names[i] for i in columns))
 
 
-def predict_batch(tree: DecisionTree, features) -> np.ndarray:
-    """Classify every row of a feature matrix, a tree level per step; a bool vector."""
+def predict_batch(tree: DecisionTree, features, columns=None) -> np.ndarray:
+    """Classify every row of a feature matrix, a tree level per step; a bool vector.
+
+    ``columns`` are the positions in ``features`` of the tree's features, so
+    a tree fitted on some columns of a matrix reads a matrix of the same
+    layout in place; when None, the matrix holds just the tree's features,
+    in order. Either layout is read in place.
+    """
     X = np.asarray(features, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != tree.feature_count:
-        raise ValueError(f"expected a matrix with {tree.feature_count} columns, "
-                         f"got shape {X.shape}")
+    width = X.shape[1] if X.ndim == 2 else -1
+    if columns is None:
+        if width != tree.feature_count:
+            raise ValueError(f"expected a matrix with {tree.feature_count} columns, "
+                             f"got shape {X.shape}")
+        columns = np.arange(width)
+    columns = np.asarray(columns, dtype=np.intp)
+    if columns.shape != (tree.feature_count,) or not ((0 <= columns) & (columns < width)).all():
+        raise ValueError(f"expected {tree.feature_count} positions of columns of a matrix, "
+                         f"got {columns.tolist()} for shape {X.shape}")
     if not X.flags.f_contiguous:
         X = np.ascontiguousarray(X)
-    # a view of either layout: row i's feature j at i * row_step + j * column_step
+    # a view of either layout: row i's column j at i * row_step + j * column_step
     flat = X.ravel(order="A")
     row_step, column_step = (stride // X.itemsize for stride in X.strides)
+    offset = columns * column_step  # of each of the tree's features
     node = np.zeros(X.shape[0], dtype=np.intp)
     rows = np.arange(X.shape[0])
     while rows.size:
@@ -463,6 +477,6 @@ def predict_batch(tree: DecisionTree, features) -> np.ndarray:
         feature = tree.feature[at]
         inner = feature >= 0
         rows, at, feature = rows[inner], at[inner], feature[inner]
-        go_left = flat[rows * row_step + feature * column_step] <= tree.threshold[at]
+        go_left = flat[rows * row_step + offset[feature]] <= tree.threshold[at]
         node[rows] = np.where(go_left, tree.left[at], tree.right[at])
     return tree.predicted[node]

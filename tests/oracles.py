@@ -49,6 +49,16 @@ def brute_force_splits(X, y, criterion: str) -> list[tuple[int, float, float]]:
     return results
 
 
+def unique_ranks(matrix) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """``rank_columns`` as it was before counting: ``np.unique`` of every column."""
+    ranks = np.empty(matrix.shape[::-1], dtype=np.int32)
+    values = []
+    for j in range(matrix.shape[1]):
+        distinct, ranks[j] = np.unique(matrix[:, j], return_inverse=True)
+        values.append(distinct)
+    return ranks, tuple(values)
+
+
 # ------------------------------------------------------- row-wise NSL-KDD load
 #
 # The row-wise loader that the columnar ``parse_file``/``build_codebook``/

@@ -457,6 +457,15 @@ def test_cli_verify_appendix_runs_on_synth(tmp_path, synth_files, capsys):
     assert (tmp_path / "v" / "verification.txt").exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--mode", "ga"), ("--attack", "flood"),
+                                         ("--features", "land")])
+def test_cli_verify_appendix_refuses_the_run_flags(synth_files, capsys, flag, value):
+    train, test = synth_files
+    with pytest.raises(SystemExit):
+        run_cli("--train", train, "--test", test, "--verify-appendix", flag, value)
+    assert f"--verify-appendix cannot be combined with {flag}" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------ real data
 
 

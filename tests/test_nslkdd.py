@@ -1,3 +1,4 @@
+import contextlib
 import json
 import warnings
 from unittest import mock
@@ -227,6 +228,10 @@ _READER_CASES = {
     # defects, worded by the block checker
     "ragged row": (_LINE + "\n1,2,3\n" + _LINE + "\n", True),
     "too many columns": (_LINE + "\n" + _LINE_43 + ",9\n", True),
+    # the read's dtype has a field per column, so it refuses these lines itself
+    "one column more in a 43-column file": (f"{_LINE_43}\n{_LINE_43},9\n{_LINE_43}\n", True),
+    "one column fewer in a 42-column file": (f"{_LINE}\n{_LINE[:_LINE.rindex(',')]}\n{_LINE}\n",
+                                             True),
     "interior blank line": (_LINE + "\n\n" + _LINE + "\n", True),
     "whitespace-only line": (_LINE + "\n \t\n" + _LINE + "\n", True),
     "blank line beside a long one": (_LINE + "\n\n" + _LINE + ",0" * 41 + "\n", True),
@@ -283,6 +288,8 @@ _MIXED = [line.rpartition(",")[0] if i % 3 else line for i, line in enumerate(_V
 # (file lines, whether parse_file must fall back to the block checker)
 _BLOCK_CASES = {
     "mixed 42 and 43 columns across blocks": (_MIXED, True),
+    "one column more in the last block": (_VARIED + [_VARIED[0] + ",0"], True),
+    "one column fewer in the last block": (_VARIED + [_VARIED[0].rpartition(",")[0]], True),
     "float-only number in the last block": (_VARIED + [with_field(0, "1_0", difficulty=7)], True),
     "non-finite number in the last block": (_VARIED + [with_field(4, "1e999", difficulty=7)], True),
     "blank label in the last block": (_VARIED + [make_line(label=" ", difficulty=7)], True),
@@ -331,8 +338,11 @@ def test_c_reader_reads_whole_numbers_and_difficulty_as_int64(tmp_path):
     loadtxt = np.loadtxt
 
     def spy(lines, dtype, **kwargs):
+        # one field per run of columns, in file order: the read takes every column
+        assert "usecols" not in kwargs
         kinds = [dtype[name].base for name in dtype.names for _ in range(dtype[name].shape[0])]
-        reads.append(dict(zip(kwargs["usecols"], kinds)))
+        assert len(kinds) == len(FEATURE_NAMES) + 2
+        reads.append(dict(enumerate(kinds)))
         return loadtxt(lines, dtype, **kwargs)
 
     with mock.patch.object(np, "loadtxt", spy):
@@ -451,6 +461,30 @@ def test_encode_is_deterministic(synth_files):
     assert a.labels == b.labels
 
 
+def test_second_encode_leaves_the_first_dataset_unchanged(synth_files):
+    train_path, _ = synth_files
+    raw = parse_file(train_path)
+    numeric = raw.numeric
+    book = build_codebook(raw)
+    first = encode(raw, book)
+    assert first.features is raw.features  # the first encode takes the matrix
+    kept = first.features.copy()
+    reversed_book = nslkdd.Codebook({name: {value: code for code, value in
+                                            enumerate(reversed(mapping))}
+                                     for name, mapping in book.columns.items()})
+    second = encode(raw, reversed_book)
+    assert second.features is not first.features
+    assert first.features.tobytes() == kept.tobytes()
+    symbolic = [FEATURE_NAMES.index(name) for name in SYMBOLIC_COLUMNS]
+    assert not np.array_equal(second.features[:, symbolic], kept[:, symbolic])
+    for name, j in zip(SYMBOLIC_COLUMNS, symbolic):
+        mapping = reversed_book.columns[name]
+        assert second.features[:, j].tolist() == [mapping[v] for v in raw.symbolic[name]]
+    assert np.array_equal(raw.numeric, numeric)
+    assert np.array_equal(np.delete(second.features, symbolic, axis=1), numeric)
+    assert encode(raw, book).features.tobytes() == kept.tobytes()
+
+
 # ---------------------------------------------------- row-wise reference load
 
 
@@ -478,6 +512,8 @@ def assert_same_load(expected, got):
     exp_train, exp_train_labels, exp_test, exp_test_labels, exp_book = expected
     train, train_labels, test, test_labels, book = got
     assert train.dtype == test.dtype == np.float64
+    # the matrix the load wrote is column-major, and equals the row-wise one
+    assert train.flags.f_contiguous and test.flags.f_contiguous
     assert train.tobytes() == exp_train.tobytes()
     assert test.tobytes() == exp_test.tobytes()
     assert train_labels == exp_train_labels
@@ -486,13 +522,18 @@ def assert_same_load(expected, got):
     assert json.dumps(book) == json.dumps(exp_book)
 
 
+@pytest.mark.parametrize("reader", ["C reader", "block checker"])
 @pytest.mark.parametrize("block_lines", [None, 7])
-def test_columnar_load_matches_rowwise_reference(synth_files, block_lines):
+def test_columnar_load_matches_rowwise_reference(synth_files, block_lines, reader):
     train_path, test_path = synth_files
     expected = rowwise_load(train_path, test_path)
     assert expected[4]["extensions"], "the test file should carry an unseen service"
-    with mock.patch.object(nslkdd, "_BLOCK_LINES", block_lines or nslkdd._BLOCK_LINES):
+    checker = (mock.patch.object(nslkdd, "_load_columns", return_value=None)
+               if reader == "block checker" else contextlib.nullcontext())
+    with mock.patch.object(nslkdd, "_BLOCK_LINES", block_lines or nslkdd._BLOCK_LINES), \
+            checker, mock.patch.object(nslkdd, "_parse_block", wraps=nslkdd._parse_block) as spy:
         assert_same_load(expected, columnar_load(train_path, test_path))
+    assert spy.called == (reader == "block checker")
 
 
 _token = st.text(alphabet="abcdefgh_ABC-", min_size=1, max_size=4)
@@ -701,6 +742,13 @@ def test_mask_bits_round_trip():
     assert mask.selected_count == 3
     assert FeatureMask.from_bits(mask.bits()) == mask
     assert mask.selected_names() == ("duration", "land", "dst_host_srv_rerror_rate")
+
+
+@pytest.mark.parametrize("indices, bad", [([50, -1], "-1, 50"), ([0, 41], "41"),
+                                          ([0, 1.5], "1.5")])
+def test_mask_from_indices_rejects_indices_outside_the_features(indices, bad):
+    with pytest.raises(ValueError, match=rf"^feature index\(es\) {bad} outside 0\.\.40$"):
+        FeatureMask.from_indices(indices)
 
 
 @pytest.mark.parametrize("bits", ["1" * 40 + "x", "1 " * 20 + "1", "1" * 40 + "2"])

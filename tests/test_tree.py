@@ -17,6 +17,7 @@ from gafs.nslkdd import (
 )
 from gafs.tree import CRITERIA, SplitTable, fit, impurity, predict_batch
 
+import oracles
 from oracles import bfs_arrays, brute_force_splits, pernode_fit, predict
 
 TREE_ARRAYS = ("feature", "threshold", "impurity_decrease", "left", "right",
@@ -593,6 +594,78 @@ def test_ranks_reproduce_each_column_value_order(synth_flood):
         assert np.array_equal(np.argsort(ranks[j], kind="stable"), order)
 
 
+_N = 12
+_EDGE = 2.0**52
+
+
+def _column(*values):
+    """A column of _N rows: ``values``, then repeats of its first value."""
+    return np.array([*values] + [values[0]] * (_N - len(values)), dtype=np.float64)
+
+
+# column -> whether rank_columns counts it, or needs no count (else np.unique ranks it)
+_RANK_CASES = {
+    "constant zeros": (_column(0.0), True),
+    "constant whole": (_column(7.0), True),
+    "constant negative": (_column(-3.0), True),
+    "constant rate": (_column(0.5), True),
+    "constant extreme": (_column(-1.7e308), True),
+    "negative zeros": (_column(-0.0), False),
+    "signed zeros": (_column(0.0, -0.0, 0.0, -0.0), False),
+    "negative zero among whole numbers": (_column(3.0, -0.0, 1.0, 2.0), False),
+    "negative zero below zero": (_column(-2.0, 1.0, -0.0), False),
+    "zero among negative numbers": (_column(-2.0, 1.0, 0.0), True),
+    "upper edge": (_column(_EDGE, _EDGE - 3, _EDGE - 1), True),
+    "lower edge": (_column(-_EDGE, -_EDGE + 5, -_EDGE + 1), True),
+    "past upper edge": (_column(_EDGE + 2, _EDGE, _EDGE - 1), False),
+    "past lower edge": (_column(-_EDGE - 2, -_EDGE), False),
+    "extreme floats": (_column(1.7e308, -1.7e308, 0.0, 1.0), False),
+    "largest floats": (_column(np.finfo(np.float64).max, np.finfo(np.float64).min), False),
+    "smallest subnormal": (_column(0.0, 5e-324, 1.0), False),
+    # 1e-300 - (-1) rounds to the whole 1.0
+    "tiny beside a whole minimum": (_column(-1.0, 1e-300, 0.0), False),
+    "range of n": (_column(0.0, _N, 3.0), True),
+    "range past n": (_column(0.0, _N + 1, 3.0), False),
+    "rates": (_column(0.25, 0.01, 1.0, 0.0), False),
+}
+
+
+def assert_same_ranks(matrix):
+    ranks, values = rank_columns(matrix)
+    want_ranks, want_values = oracles.unique_ranks(matrix)
+    assert ranks.dtype == want_ranks.dtype and ranks.tobytes() == want_ranks.tobytes()
+    assert len(values) == len(want_values)
+    for got, want in zip(values, want_values):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case", _RANK_CASES)
+def test_counted_ranks_match_unique(case):
+    column, counted = _RANK_CASES[case]
+    assert (nslkdd._count_ranks(column, _N) is not None) == counted
+    shuffled = np.random.default_rng(4).permutation(column)
+    matrix = np.column_stack([column, shuffled, np.zeros(_N)])
+    for layout in (np.asfortranarray(matrix), np.ascontiguousarray(matrix)):
+        assert_same_ranks(layout)
+
+
+def test_counted_ranks_match_unique_on_the_synthetic_sets(synth_encoded):
+    train, test, _ = synth_encoded
+    for matrix in (train.features, test.features):
+        assert sum(nslkdd._count_ranks(matrix[:, j], len(matrix)) is not None
+                   for j in range(matrix.shape[1])) >= 20
+        assert_same_ranks(matrix)
+        assert_same_ranks(np.ascontiguousarray(matrix[:1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-6, 6) | st.sampled_from([-0.0, 0.5, 2.0**52, -(2.0**52)]),
+                min_size=1, max_size=30))
+def test_counted_ranks_match_unique_on_drawn_columns(values):
+    column = np.array(values, dtype=np.float64)
+    assert_same_ranks(np.column_stack([column, -column, column * 3]))
+
+
 def test_worker_threads_share_one_rank_table(synth_encoded, monkeypatch):
     train, _, _ = synth_encoded
     # large enough that ranking outlasts the threads' start
@@ -704,11 +777,25 @@ def test_one_pass_scores_each_level(synth_burst, monkeypatch):
         assert len(calls) <= 3 * (tree.depth + 1)
 
 
-def test_compute_fitness_projects_only_the_test_set(synth_flood, monkeypatch):
+def test_compute_fitness_projects_nothing(synth_flood, monkeypatch):
+    # the test matrix is read in place, and predicts what its projection does
     train, test = synth_flood
-    seen = []
-    real = ga.project
-    monkeypatch.setattr(ga, "project", lambda data, mask: seen.append(data) or real(data, mask))
+    projected, calls = [], []
+    real_project, real_predict = nslkdd.project, ga.predict_batch
+    for module in (ga, nslkdd):
+        monkeypatch.setattr(module, "project",
+                            lambda *args: projected.append(args) or real_project(*args))
+
+    def predict_spy(*args):
+        calls.append((args, real_predict(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(ga, "predict_batch", predict_spy)
     for names in (["count"], ["duration", "service", "src_bytes", "count"]):
-        compute_fitness(FeatureMask.from_names(names), train, test)
-    assert len(seen) == 2 and all(data is test for data in seen)
+        mask = FeatureMask.from_names(names)
+        compute_fitness(mask, train, test)
+        (tree, features, _), predictions = calls[-1]
+        assert features is test.features
+        expected = real_predict(tree, real_project(test, mask).features)
+        assert np.array_equal(predictions, expected)
+    assert len(calls) == 2 and projected == []
