@@ -7,7 +7,7 @@ formatting helpers. The detection rate follows percent semantics:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -44,21 +44,12 @@ class MetricsReport:
     detection_rate: float  # percent, per the 100 - FP% - FN% convention
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f_measure": self.f_measure,
-            "fitness": self.fitness,
-            "accuracy": self.accuracy,
-            "specificity": self.specificity,
-            "fp_rate": self.fp_rate,
-            "fn_rate": self.fn_rate,
-            "detection_rate": self.detection_rate,
-        }
+        return asdict(self)
 
 
 def confusion(predictions, targets) -> ConfusionMatrix:
-    """Count TP/FN/FP/TN for boolean predictions against boolean targets."""
+    """Count TP/FN/FP/TN for boolean predictions against boolean targets,
+    from one bincount of ``2 * target + prediction``."""
     preds = np.asarray(predictions, dtype=bool)
     truth = np.asarray(targets, dtype=bool)
     if preds.shape != truth.shape:
@@ -67,10 +58,7 @@ def confusion(predictions, targets) -> ConfusionMatrix:
         )
     if preds.size == 0:
         raise ValueError("cannot build a confusion matrix from zero samples")
-    tp = int(np.count_nonzero(preds & truth))
-    fn = int(np.count_nonzero(~preds & truth))
-    fp = int(np.count_nonzero(preds & ~truth))
-    tn = int(np.count_nonzero(~preds & ~truth))
+    tn, fp, fn, tp = np.bincount(2 * truth.ravel() + preds.ravel(), minlength=4).tolist()
     return ConfusionMatrix(tp=tp, fn=fn, fp=fp, tn=tn)
 
 

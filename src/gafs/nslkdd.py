@@ -322,11 +322,6 @@ class RawDataset:
     def __len__(self) -> int:
         return len(self.labels)
 
-    @property
-    def numeric(self) -> np.ndarray:
-        """(n, 38) float64 copy of the NUMERIC_COLUMNS, in file order."""
-        return self.features[:, _NUMERIC_INDEX]
-
 
 @dataclass
 class Dataset:

@@ -113,18 +113,20 @@ def _histogram(key, positives, cells, dense):
     A cell is (node, rank) as ``node * d + rank``; the level has ``cells`` of
     them. ``key`` is the cell of each counted row, positives (the first
     ``positives``) first. The histogram comes from a dense table of every cell
-    when ``dense``, else from a sort of the keys.
+    when ``dense``, else from one sort of the keys, each tagged in its lowest
+    bit with 1 for a negative row.
     """
     if dense:
         count = np.bincount(key, minlength=cells)
         pos = np.bincount(key[:positives], minlength=cells)
         present = np.flatnonzero(count)
         return present, count[present], pos[present]
-    present, count = np.unique(key, return_counts=True)
-    positive_cell, positive_count = np.unique(key[:positives], return_counts=True)
-    pos = np.zeros(present.size, dtype=np.int64)
-    pos[np.searchsorted(present, positive_cell)] = positive_count
-    return present, count, pos
+    tagged = key << 1
+    tagged[positives:] += 1
+    tagged.sort()
+    first = _run_starts(tagged >> 1).nonzero()[0]
+    count = np.diff(first, append=tagged.size)
+    return tagged[first] >> 1, count, count - np.add.reduceat(tagged & 1, first)
 
 
 class SplitTable:

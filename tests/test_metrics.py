@@ -1,6 +1,8 @@
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gafs.ga import EvaluatedIndividual
@@ -46,6 +48,27 @@ def test_confusion_rejects_length_mismatch_and_empty():
         confusion([], [])
 
 
+@st.composite
+def prediction_pairs(draw):
+    """Predictions and targets of one drawn length, each drawn or of one class."""
+    n = draw(st.integers(1, 300))
+    vectors = (st.lists(st.booleans(), min_size=n, max_size=n)
+               | st.just([True] * n) | st.just([False] * n))
+    return draw(vectors), draw(vectors)
+
+
+@settings(max_examples=200)
+@example(pair=([True], [False]))
+@given(pair=prediction_pairs())
+def test_confusion_matches_per_row_counting(pair):
+    preds, targets = pair
+    rows = Counter(zip(preds, targets))
+    cm = confusion(np.array(preds), np.array(targets))
+    assert cm.as_tuple() == (rows[True, True], rows[False, True],
+                             rows[True, False], rows[False, False])
+    assert all(type(count) is int for count in cm.as_tuple())
+
+
 def test_confusion_matrix_rejects_negative_counts():
     with pytest.raises(ValueError):
         ConfusionMatrix(tp=-1, fn=0, fp=0, tn=1)
@@ -76,6 +99,13 @@ def test_metrics_zero_denominator_conventions():
     report2 = metrics(ConfusionMatrix(tp=5, fn=1, fp=0, tn=0))
     assert report2.specificity == 1.0
     assert report2.fp_rate == 0.0
+
+
+def test_report_as_dict_lists_the_fields_in_order():
+    report = metrics(ConfusionMatrix(tp=3, fn=1, fp=2, tn=4))
+    names = ["precision", "recall", "f_measure", "fitness", "accuracy",
+             "specificity", "fp_rate", "fn_rate", "detection_rate"]
+    assert list(report.as_dict().items()) == [(name, getattr(report, name)) for name in names]
 
 
 def test_metrics_empty_matrix_rejected():

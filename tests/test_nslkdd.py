@@ -48,8 +48,8 @@ def test_parse_counts_and_difficulty(tmp_path):
     assert tuple(ds.labels) == ("normal", "smurf")
     assert list(ds.symbolic["protocol_type"]) == ["tcp", "tcp"]
     # the difficulty is validated, then dropped: 38 numeric columns remain
-    assert ds.numeric.shape == (2, len(NUMERIC_COLUMNS)) == (2, 38)
-    assert not ds.numeric.any()
+    assert ds.features[:, nslkdd._NUMERIC_INDEX].shape == (2, len(NUMERIC_COLUMNS)) == (2, 38)
+    assert not ds.features[:, nslkdd._NUMERIC_INDEX].any()
 
 
 def test_parse_42_column_variant(tmp_path):
@@ -57,7 +57,7 @@ def test_parse_42_column_variant(tmp_path):
     path.write_text(make_line() + "\n")
     ds = parse_file(path)
     assert tuple(ds.labels) == ("normal",)
-    assert ds.numeric.shape == (1, 38)
+    assert ds.features[:, nslkdd._NUMERIC_INDEX].shape == (1, 38)
     assert {name: list(ds.symbolic[name]) for name in SYMBOLIC_COLUMNS} == {
         "protocol_type": ["tcp"], "service": ["http"], "flag": ["SF"]}
 
@@ -125,7 +125,8 @@ def test_parse_crlf_matches_lf(tmp_path):
     a, b = parse_file(lf), parse_file(crlf)
     assert a.labels == b.labels
     assert a.symbolic == b.symbolic
-    assert a.numeric.tobytes() == b.numeric.tobytes()
+    numeric = nslkdd._NUMERIC_INDEX
+    assert a.features[:, numeric].tobytes() == b.features[:, numeric].tobytes()
 
 
 def test_parse_error_line_numbers_span_blocks(tmp_path):
@@ -146,7 +147,7 @@ def test_parse_empty_file(tmp_path):
         for path in (empty, blank):
             raw = parse_file(path)
             assert len(raw) == 0
-            assert raw.numeric.shape == (0, len(NUMERIC_COLUMNS))
+            assert raw.features[:, nslkdd._NUMERIC_INDEX].shape == (0, len(NUMERIC_COLUMNS))
 
 
 def test_parse_wrong_column_count_names_line(tmp_path):
@@ -200,7 +201,8 @@ def parse_outcome(path):
         raw = parse_file(path)
     except ParseError as error:
         return str(error)
-    return raw.numeric.dtype, raw.numeric.shape, raw.numeric.tobytes(), raw.symbolic, raw.labels
+    numeric = raw.features[:, nslkdd._NUMERIC_INDEX]
+    return numeric.dtype, numeric.shape, numeric.tobytes(), raw.symbolic, raw.labels
 
 
 _LINE, _LINE_43 = make_line(), make_line(label="pod", difficulty=7)
@@ -464,7 +466,7 @@ def test_encode_is_deterministic(synth_files):
 def test_second_encode_leaves_the_first_dataset_unchanged(synth_files):
     train_path, _ = synth_files
     raw = parse_file(train_path)
-    numeric = raw.numeric
+    numeric = raw.features[:, nslkdd._NUMERIC_INDEX]
     book = build_codebook(raw)
     first = encode(raw, book)
     assert first.features is raw.features  # the first encode takes the matrix
@@ -480,7 +482,7 @@ def test_second_encode_leaves_the_first_dataset_unchanged(synth_files):
     for name, j in zip(SYMBOLIC_COLUMNS, symbolic):
         mapping = reversed_book.columns[name]
         assert second.features[:, j].tolist() == [mapping[v] for v in raw.symbolic[name]]
-    assert np.array_equal(raw.numeric, numeric)
+    assert np.array_equal(raw.features[:, nslkdd._NUMERIC_INDEX], numeric)
     assert np.array_equal(np.delete(second.features, symbolic, axis=1), numeric)
     assert encode(raw, book).features.tobytes() == kept.tobytes()
 

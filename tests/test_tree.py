@@ -2,12 +2,13 @@ import contextlib
 import gc
 import sys
 import weakref
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gafs import ga, nslkdd, tree as tree_module
@@ -375,6 +376,37 @@ def test_each_histogram_path_alone_matches_pernode_reference(request, monkeypatc
     monkeypatch.setattr(tree_module, "_DENSE_CELLS_PER_ROW", bound)
     for criterion in CRITERIA:
         assert_same_tree(train, criterion)
+
+
+@st.composite
+def histogram_cases(draw):
+    """Cell keys of counted rows, positives first: (key, positives, cells)."""
+    cells = draw(st.integers(1, 1000))
+    key = draw(st.lists(st.integers(0, cells - 1), min_size=1, max_size=300))
+    if draw(st.booleans()):
+        key.append(cells - 1)  # the largest cell
+    positives = draw(st.sampled_from([0, len(key)]) | st.integers(0, len(key)))
+    return np.array(key, dtype=np.intp), positives, cells
+
+
+@settings(max_examples=300)
+@example(case=(np.array([0], dtype=np.intp), 1, 1))  # a single key, positive
+@example(case=(np.array([3], dtype=np.intp), 0, 4))  # a single key in the largest cell
+@example(case=(np.array([5, 0, 5, 2], dtype=np.intp), 0, 6))  # no positives
+@example(case=(np.array([5, 0, 5, 2], dtype=np.intp), 4, 6))  # all positives
+@given(case=histogram_cases())
+def test_histogram_dense_and_sparse_paths_agree(case):
+    key, positives, cells = case
+    drawn = key.copy()
+    dense = tree_module._histogram(key, positives, cells, True)
+    sparse = tree_module._histogram(key, positives, cells, False)
+    assert np.array_equal(key, drawn)
+    assert [a.tolist() for a in dense] == [a.tolist() for a in sparse]
+    present = sorted(set(key.tolist()))
+    rows, pos = Counter(key.tolist()), Counter(key[:positives].tolist())
+    assert sparse[0].tolist() == present
+    assert sparse[1].tolist() == [rows[cell] for cell in present]
+    assert sparse[2].tolist() == [pos[cell] for cell in present]
 
 
 def test_signed_zeros_share_one_rank():
