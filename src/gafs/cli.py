@@ -1,8 +1,7 @@
 """Command-line front end for batch experiments.
 
 Parameter precedence: command-line flags override the optional JSON config
-file, which overrides the built-in defaults (population 100, 80 generations,
-mutation 0.024, entropy).
+file, which overrides the defaults: ``GAConfig``'s, and seed 0.
 """
 
 from __future__ import annotations
@@ -21,19 +20,23 @@ from .experiment import (
     verify_appendix,
 )
 from .ga import GAConfig
-from .metrics import pct, table_header, table_row
+from .metrics import pct
 from .nslkdd import ParseError
 
-DEFAULTS = {
-    "criterion": "entropy",
-    "pop": 100,
-    "generations": 80,
-    "mutation_rate": 0.024,
-    "crossover_rate": 0.9,
-    "tournament": 2,
-    "seed": 0,
-    "early_stop": 0.0,
+# each GA setting's flag (dashes for underscores) and config-file key -> its GAConfig field
+GA_FIELDS = {
+    "criterion": "criterion",
+    "pop": "population_size",
+    "generations": "generations",
+    "mutation_rate": "mutation_rate",
+    "crossover_rate": "crossover_rate",
+    "tournament": "tournament_size",
+    "seed": "seed",
+    "early_stop": "early_stop_fitness",
 }
+# GAConfig's defaults, and seed 0 (GAConfig has no default seed)
+DEFAULTS = {flag: 0 if flag == "seed" else getattr(GAConfig, field)
+            for flag, field in GA_FIELDS.items()}
 # what a config file may give for a key, by the type of the key's default (never a bool)
 CONFIG_TYPES = {str: (str, "a string"), int: (int, "an integer"), float: ((int, float), "a number")}
 
@@ -123,18 +126,6 @@ def main(argv=None) -> int:
         if args.mode == "ga" and args.features:
             parser.error("--features is only valid with --mode fixed")
 
-        ga_cfg = None
-        if args.mode == "ga":
-            ga_cfg = GAConfig(
-                seed=settings["seed"],
-                criterion=settings["criterion"],
-                population_size=settings["pop"],
-                generations=settings["generations"],
-                mutation_rate=settings["mutation_rate"],
-                crossover_rate=settings["crossover_rate"],
-                tournament_size=settings["tournament"],
-                early_stop_fitness=settings["early_stop"],
-            )
         cfg = ExperimentConfig(
             train_path=args.train,
             test_path=args.test,
@@ -144,7 +135,8 @@ def main(argv=None) -> int:
             fixed_features=(
                 tuple(args.features.split(",")) if args.features else None
             ),
-            ga=ga_cfg,
+            ga=(GAConfig(**{field: settings[flag] for flag, field in GA_FIELDS.items()})
+                if args.mode == "ga" else None),
         )
 
         log_lines = ["generation,best_fitness,selected_count,elapsed_seconds"]
@@ -163,16 +155,11 @@ def main(argv=None) -> int:
         result = run_experiment(cfg, trace=trace if args.mode == "ga" else None)
 
         print()
-        if result.cm is None:
-            print("no classifier: the search ended on the empty feature mask "
-                  f"(fitness {result.best.fitness})")
-        else:
-            print(table_header())
-            print(table_row(result.mask.selected_count, cfg.target,
-                            result.cm, result.report))
+        print(result.table_text())
+        if result.best.metrics is not None:
             print()
             print(result.feature_line())
-            report = result.report
+            report = result.best.metrics
             print(
                 f"detection rate {report.detection_rate:.2f}%  "
                 f"(FP {pct(report.fp_rate)}, FN {pct(report.fn_rate)})  "

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .ga import EvaluatedIndividual, GAConfig, Tracer, compute_fitness, run
@@ -40,7 +40,7 @@ class ExperimentConfig:
     mode: str  # "ga" | "fixed"
     target: str  # attack name, comma-separated names, or "dos-all"
     criterion: str = "entropy"
-    fixed_features: tuple[str, ...] | None = None
+    fixed_features: tuple[str, ...] | None = None  # required in fixed mode, refused in ga mode
     ga: GAConfig | None = None  # required in ga mode, refused in fixed mode
 
     def __post_init__(self) -> None:
@@ -53,6 +53,8 @@ class ExperimentConfig:
             self.fixed_mask()  # unknown names fail here, before any file is read
         if self.mode == "ga" and self.ga is None:
             raise ValueError("ga mode requires a GAConfig")
+        if self.mode == "ga" and self.fixed_features is not None:
+            raise ValueError("ga mode searches for its features and takes no fixed_features")
         if self.ga is not None and self.ga.criterion != self.criterion:
             raise ValueError(f"GA criterion {self.ga.criterion!r} differs from the "
                              f"experiment criterion {self.criterion!r}")
@@ -66,9 +68,11 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentResult:
+    """One run's outcome: its best individual, GA trajectory and evaluation counts."""
+
     config: ExperimentConfig
     target_attacks: tuple[str, ...]
-    best: EvaluatedIndividual
+    best: EvaluatedIndividual  # cm and metrics are None only if a search ended on the empty mask
     history: tuple[float, ...]  # empty in fixed mode
     codebook: Codebook
     duration_seconds: float
@@ -78,19 +82,6 @@ class ExperimentResult:
     memo_hits: int = 0
     fitted: int = 0
     split_hits: int = 0
-
-    @property
-    def mask(self) -> FeatureMask:
-        return self.best.mask
-
-    @property
-    def cm(self) -> ConfusionMatrix | None:
-        # None only when a search ended on the empty mask (fitness 1.0)
-        return self.best.cm
-
-    @property
-    def report(self) -> MetricsReport | None:
-        return self.best.metrics
 
     @property
     def selected_features(self) -> tuple[str, ...]:
@@ -105,6 +96,15 @@ class ExperimentResult:
         return (f"evaluations requested={self.requested} exact_hits={self.exact_hits} "
                 f"memo_hits={self.memo_hits} fitted={self.fitted} split_hits={self.split_hits}")
 
+    def table_text(self) -> str:
+        """The result table's header and row, or why there is no classifier."""
+        best = self.best
+        if best.cm is None:
+            return ("no classifier: the search ended on the empty feature mask "
+                    f"(fitness {best.fitness})")
+        return table_header() + "\n" + table_row(
+            best.mask.selected_count, self.config.target, best.cm, best.metrics)
+
     def feature_line(self) -> str:
         """Selected features in report style: ``target: 'alias', 'alias'``."""
         names = ", ".join(f"'{alias}'" for alias in self.selected_aliases)
@@ -112,6 +112,7 @@ class ExperimentResult:
 
     def to_dict(self) -> dict:
         """Canonical machine-readable form; excludes wall-clock timing."""
+        best = self.best
         doc = {
             "config": {
                 "train_path": str(self.config.train_path),
@@ -126,16 +127,12 @@ class ExperimentResult:
                 ),
             },
             "target_attacks": sorted(self.target_attacks),
-            "mask_bits": self.mask.bits(),
-            "fitness": self.best.fitness,
+            "mask_bits": best.mask.bits(),
+            "fitness": best.fitness,
             "selected_features": list(self.selected_features),
             "selected_aliases": list(self.selected_aliases),
-            "confusion": None if self.cm is None else {
-                "tp": self.cm.tp, "fn": self.cm.fn,
-                "fp": self.cm.fp, "tn": self.cm.tn,
-                "total": self.cm.total,
-            },
-            "metrics": None if self.report is None else self.report.as_dict(),
+            "confusion": None if best.cm is None else {**asdict(best.cm), "total": best.cm.total},
+            "metrics": None if best.metrics is None else best.metrics.as_dict(),
             "codebook_warnings": self.codebook.warnings(),
         }
         if self.config.ga is not None:
@@ -226,9 +223,9 @@ def run_experiment(
 def emit_reports(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
     """Write the result files; contents are byte-stable for identical results.
 
-    Emits result.json (machine-readable), table.txt (fixed-width result row),
-    features.txt (selected features in report alias style), codebook.json,
-    and history.csv when the run has a GA trajectory.
+    Emits result.json (``to_dict``), table.txt (``table_text``, as the console
+    prints it), features.txt (``feature_line``), codebook.json, and history.csv
+    when the run has a GA trajectory.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -239,13 +236,7 @@ def emit_reports(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
     written.append(result_path)
 
     table_path = out / "table.txt"
-    if result.cm is None:
-        body = "no classifier: the search ended on the empty feature mask (fitness 1.0)"
-    else:
-        body = table_header() + "\n" + table_row(
-            result.mask.selected_count, result.config.target, result.cm, result.report
-        )
-    table_path.write_text(body + "\n")
+    table_path.write_text(result.table_text() + "\n")
     written.append(table_path)
 
     features_path = out / "features.txt"
@@ -273,17 +264,10 @@ class VerificationRow:
     report: MetricsReport
 
     def computed_pct(self) -> dict[str, float]:
-        rep = self.report
-        return {
-            "accuracy": 100.0 * rep.accuracy,
-            "precision": 100.0 * rep.precision,
-            "recall": 100.0 * rep.recall,
-            "f_measure": 100.0 * rep.f_measure,
-            "specificity": 100.0 * rep.specificity,
-            "detection_rate": rep.detection_rate,
-            "fp_pct": 100.0 * rep.fp_rate,
-            "fn_pct": 100.0 * rep.fn_rate,
-        }
+        """Every metric in percent, under the keys of ``ReferenceCase.expected_pct``."""
+        pct = {name: 100.0 * value for name, value in self.report.as_dict().items()}
+        return {**pct, "detection_rate": self.report.detection_rate,  # already percent
+                "fp_pct": pct["fp_rate"], "fn_pct": pct["fn_rate"]}
 
 
 def verify_appendix(

@@ -124,11 +124,15 @@ class FeatureMask:
         if len(self.genes) != N_FEATURES:
             raise ValueError(f"mask must have {N_FEATURES} genes, got {len(self.genes)}")
         if not all(isinstance(g, bool) for g in self.genes):
+            bad = [g for g in self.genes
+                   if not (isinstance(g, (int, np.integer, np.bool_)) and g in (0, 1))]
+            if bad:
+                raise ValueError(f"mask genes must be bools or 0/1, got {bad[0]!r}")
             object.__setattr__(self, "genes", tuple(bool(g) for g in self.genes))
 
     @classmethod
     def from_array(cls, genes) -> "FeatureMask":
-        return cls(tuple(bool(g) for g in genes))
+        return cls(tuple(np.asarray(genes).tolist()))
 
     @classmethod
     def from_indices(cls, indices) -> "FeatureMask":

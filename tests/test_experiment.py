@@ -89,11 +89,11 @@ def test_resolve_target_rejects_unknown_with_roster():
 
 def test_fixed_experiment_on_separable_target(synth_files):
     result = run_experiment(fixed_cfg(synth_files))
-    assert result.cm.fn == 0 and result.cm.fp == 0
-    assert result.report.f_measure == 1.0
+    assert result.best.cm.fn == 0 and result.best.cm.fp == 0
+    assert result.best.metrics.f_measure == 1.0
     assert result.best.fitness == 0.0
     assert result.history == ()
-    assert result.cm.total == 400
+    assert result.best.cm.total == 400
     assert result.selected_features == ("protocol_type", "wrong_fragment")
     assert result.duration_seconds > 0
 
@@ -122,7 +122,7 @@ def test_ga_experiment_runs_and_records_history(synth_files):
     result = run_experiment(ga_cfg(synth_files))
     assert result.history
     assert result.best.fitness == min(result.history)
-    assert result.mask.selected_count == len(result.selected_features)
+    assert result.best.mask.selected_count == len(result.selected_features)
 
 
 def test_mismatched_ga_criterion_rejected_before_any_file_is_read(tmp_path):
@@ -144,6 +144,13 @@ def test_fixed_mode_with_ga_config_rejected_before_any_file_is_read(tmp_path):
     with pytest.raises(ValueError, match="fixed mode runs no search and takes no GAConfig"):
         ExperimentConfig(train_path=absent, test_path=absent, mode="fixed", target="land",
                          fixed_features=("land",), ga=GAConfig(seed=5))
+
+
+def test_ga_mode_with_fixed_features_rejected_before_any_file_is_read(tmp_path):
+    absent = tmp_path / "absent.txt"
+    with pytest.raises(ValueError, match="ga mode .* takes no fixed_features"):
+        ExperimentConfig(train_path=absent, test_path=absent, mode="ga", target="neptune",
+                         fixed_features=("count",), ga=GAConfig(seed=1))
 
 
 def test_unknown_fixed_feature_rejected_before_any_file_is_read(tmp_path):
@@ -226,7 +233,9 @@ def test_emit_handles_empty_mask_result(tmp_path, synth_files):
     doc = json.loads((tmp_path / "out" / "result.json").read_text())
     assert doc["confusion"] is None and doc["metrics"] is None
     assert doc["fitness"] == 1.0
-    assert "empty feature mask" in (tmp_path / "out" / "table.txt").read_text()
+    text = "no classifier: the search ended on the empty feature mask (fitness 1.0)"
+    assert degenerate.table_text() == text
+    assert (tmp_path / "out" / "table.txt").read_text() == text + "\n"
     assert (tmp_path / "out" / "features.txt").read_text().strip().endswith("(none)")
 
 
@@ -307,6 +316,18 @@ def test_cli_fixed_mode_writes_reports(tmp_path, synth_files, capsys):
     assert not (tmp_path / "out" / "history.csv").exists()
 
 
+@pytest.mark.parametrize("mode", ["ga", "fixed"])
+def test_cli_prints_the_table_that_table_txt_holds(tmp_path, synth_files, capsys, mode):
+    train, test = synth_files
+    run = ["--pop", 6, "--generations", 2] if mode == "ga" else ["--features", "land,count"]
+    assert run_cli("--train", train, "--test", test, "--mode", mode, "--attack", "burst",
+                   *run, "--out", tmp_path / "out") == 0
+    table = (tmp_path / "out" / "table.txt").read_text()
+    assert table.startswith("Features  Attack") and len(table.splitlines()) == 2
+    # the block stands on its own lines, a blank line after it
+    assert f"\n{table}\n" in "\n" + capsys.readouterr().out
+
+
 def test_cli_ga_mode_traces_and_logs(tmp_path, synth_files, capsys):
     train, test = synth_files
     code = run_cli(
@@ -378,6 +399,59 @@ def test_cli_config_file_and_flag_precedence(tmp_path, synth_files):
     doc_b = json.loads((out_b / "result.json").read_text())
     assert doc_b["ga"]["population_size"] == 9  # flag beats config file
     assert doc_b["ga"]["seed"] == 4
+
+
+# each GA setting: a value other than its default, and where result.json records it
+GA_SETTINGS = {
+    "criterion": ("gini", ("config", "criterion")),
+    "pop": (5, ("ga", "population_size")),
+    "generations": (2, ("ga", "generations")),
+    "mutation_rate": (0.05, ("ga", "mutation_rate")),
+    "crossover_rate": (0.75, ("ga", "crossover_rate")),
+    "tournament": (3, ("ga", "tournament_size")),
+    "seed": (7, ("ga", "seed")),
+    "early_stop": (-1.0, ("ga", "early_stop_fitness")),
+}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("key", sorted(GA_SETTINGS))
+def test_cli_ga_setting_reaches_result_json(tmp_path, synth_files, key, source):
+    train, test = synth_files
+    value, (section, field) = GA_SETTINGS[key]
+    small = {"pop": 4, "generations": 1}
+    small.pop(key, None)
+    args = [arg for flag, size in small.items() for arg in (f"--{flag}", size)]
+    if source == "flag":
+        args.append(f"--{key.replace('_', '-')}={value}")
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        args += ["--config", config]
+    assert run_cli("--train", train, "--test", test, "--mode", "ga", "--attack", "burst",
+                   *args, "--out", tmp_path / "out") == 0
+    doc = json.loads((tmp_path / "out" / "result.json").read_text())
+    assert doc[section][field] == value
+
+
+def test_cli_ga_run_without_settings_records_the_gaconfig_defaults(tmp_path, synth_files):
+    # flood is separable here, so the default early stop at fitness 0 ends the
+    # default-sized search after its first generation
+    train, test = synth_files
+    assert run_cli("--train", train, "--test", test, "--mode", "ga", "--attack", "flood",
+                   "--out", tmp_path / "out") == 0
+    doc = json.loads((tmp_path / "out" / "result.json").read_text())
+    defaults = GAConfig(seed=0)
+    assert doc["config"]["criterion"] == defaults.criterion == "entropy"
+    assert {key: value for key, value in doc["ga"].items() if key != "history"} == {
+        "seed": 0,
+        "population_size": defaults.population_size,
+        "generations": defaults.generations,
+        "mutation_rate": defaults.mutation_rate,
+        "crossover_rate": defaults.crossover_rate,
+        "tournament_size": defaults.tournament_size,
+        "early_stop_fitness": defaults.early_stop_fitness,
+    }
 
 
 def test_cli_rejects_unknown_config_key(tmp_path, synth_files, capsys):
@@ -477,9 +551,9 @@ def test_real_land_fixed_experiment_end_to_end(tmp_path, real_paths):
         criterion="entropy", fixed_features=("land",),
     )
     result = run_experiment(cfg)
-    assert result.cm.as_tuple() == (7, 0, 0, 22537)
-    assert result.cm.total == 22_544
-    assert result.report.f_measure == 1.0
+    assert result.best.cm.as_tuple() == (7, 0, 0, 22537)
+    assert result.best.cm.total == 22_544
+    assert result.best.metrics.f_measure == 1.0
     emit_reports(result, tmp_path / "out")
     line = (tmp_path / "out" / "features.txt").read_text().strip()
     assert line == "land: 'land'"

@@ -1,5 +1,6 @@
 import contextlib
 import json
+import re
 import warnings
 from unittest import mock
 
@@ -751,6 +752,24 @@ def test_mask_bits_round_trip():
 def test_mask_from_indices_rejects_indices_outside_the_features(indices, bad):
     with pytest.raises(ValueError, match=rf"^feature index\(es\) {bad} outside 0\.\.40$"):
         FeatureMask.from_indices(indices)
+
+
+@pytest.mark.parametrize("gene", ["0", "1", "", 2, -1, 0.0, 1.0, None, np.int64(2)])
+def test_mask_rejects_genes_other_than_bools_and_0_1(gene):
+    with pytest.raises(ValueError,
+                       match=rf"^mask genes must be bools or 0/1, got {re.escape(repr(gene))}$"):
+        FeatureMask((True,) * 40 + (gene,))
+    with pytest.raises(ValueError, match="mask genes must be bools or 0/1"):
+        FeatureMask((gene,) * 41)
+    with pytest.raises(ValueError, match="mask genes must be bools or 0/1"):
+        FeatureMask.from_array([gene] * 41)
+
+
+def test_mask_stores_bools_and_0_1_as_bools():
+    mask = FeatureMask((1, 0, np.True_, np.False_, np.int64(1), np.uint8(0)) + (False,) * 35)
+    assert mask.genes == (True, False, True, False, True, False) + (False,) * 35
+    assert all(type(g) is bool for g in mask.genes) and mask.selected_count == 3
+    assert FeatureMask.from_array(np.array(mask.genes, dtype=np.int8)) == mask
 
 
 @pytest.mark.parametrize("bits", ["1" * 40 + "x", "1 " * 20 + "1", "1" * 40 + "2"])
