@@ -39,6 +39,13 @@ DEFAULTS = {flag: 0 if flag == "seed" else getattr(GAConfig, field)
             for flag, field in GA_FIELDS.items()}
 # what a config file may give for a key, by the type of the key's default (never a bool)
 CONFIG_TYPES = {str: (str, "a string"), int: (int, "an integer"), float: ((int, float), "a number")}
+# the flags each kind of run ignores, so refuses on the command line; a config
+# file only supplies defaults, so its keys stay accepted
+REFUSED = {
+    "--verify-appendix": ("mode", "attack", "features", *GA_FIELDS),
+    "--mode ga": ("features",),
+    "--mode fixed": tuple(flag for flag in GA_FIELDS if flag != "criterion"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,13 +108,16 @@ def _resolve(args: argparse.Namespace) -> dict:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if not (args.verify_appendix or args.mode):
+        parser.error("--mode is required unless --verify-appendix is given")
+    run = "--verify-appendix" if args.verify_appendix else f"--mode {args.mode}"
+    for flag in REFUSED[run]:
+        if getattr(args, flag) is not None:
+            parser.error(f"{run} cannot be combined with --{flag.replace('_', '-')}")
     try:
         settings = _resolve(args)
 
         if args.verify_appendix:
-            for flag in ("mode", "attack", "features"):
-                if getattr(args, flag):
-                    parser.error(f"--verify-appendix cannot be combined with --{flag}")
             rows = verify_appendix(args.train, args.test)
             text = format_verification(rows)
             print(text)
@@ -117,14 +127,10 @@ def main(argv=None) -> int:
                 (out / "verification.txt").write_text(text + "\n")
             return 0
 
-        if not args.mode:
-            parser.error("--mode is required unless --verify-appendix is given")
         if not args.attack:
             parser.error("--attack is required unless --verify-appendix is given")
         if args.mode == "fixed" and not args.features:
             parser.error("--mode fixed requires --features")
-        if args.mode == "ga" and args.features:
-            parser.error("--features is only valid with --mode fixed")
 
         cfg = ExperimentConfig(
             train_path=args.train,

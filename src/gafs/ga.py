@@ -16,6 +16,7 @@ it grows the same tree (``FitnessMemo``).
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -46,6 +47,8 @@ class GAConfig:
     candidate_features: FeatureMask | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         check_criterion(self.criterion)
         if self.population_size < 2:
             raise ValueError("population_size must be at least 2")

@@ -14,18 +14,19 @@ all the level's columns scores every candidate, one reduction picks each
 node's split, and rows move down by comparing ranks. Nothing is presorted or
 partitioned. Trees are flat arrays in breadth-first node order.
 
-Every fit grows through a ``SplitTable``, which carries split searches from
-one fit to the next on one training set under one criterion; a fit given
-none makes its own. A node's rows are fixed by its path from the root, the
-(column, cut rank, side) of every split above it, whatever other columns the
-tree may use, and so is each column's best split there. The table keeps that
-per (path, column) for the root and every node holding at least 1% of the
-rows, and a fit counts and scores a column only at the nodes whose entry is
-missing. A fit reads entries only for paths the table held when it started,
-since a path it made itself has never been searched, so a level whose kept
-paths are all new reads nothing. Both come from the same integer counts
-through the same expressions, so a tree is bit-identical whichever table it
-grows through.
+Every fit grows through a ``SplitTable``, which holds the training context
+(the checked training set's rank table and row order) and carries split
+searches from one fit to the next on one training set under one criterion; a
+fit given none makes its own. A node's rows are fixed by its path from the
+root, the (column, cut rank, side) of every split above it, whatever other
+columns the tree may use, and so is each column's best split there. The
+table keeps that split as one 28-byte record per (path, column) for the root
+and every node holding at least 1% of the rows, and a fit counts and scores a
+column only at the nodes whose entry is missing. A fit reads entries only for
+paths the table held when it started, since a path it made itself has never
+been searched, so a level whose kept paths are all new reads nothing. Both
+come from the same integer counts through the same expressions, so a tree is
+bit-identical whichever table it grows through.
 """
 
 from __future__ import annotations
@@ -132,56 +133,67 @@ def _histogram(key, positives, cells, dense):
 class SplitTable:
     """Split searches shared by the fits on one training set under one criterion.
 
+    The table checks the training set once and holds what every fit on it
+    reads: the rank table (``ranks``, ``values``: ``rank_columns``, shared
+    through ``train.ranks``), the row indices positives first (``rows``,
+    read-only) and the positive count (``positives``).
+
     A node is named by its path (see the module docstring), columns counted
     in ``train.features``. Each path gets a small integer id (the root's is
     0), interned from its parent's id and its last step. Each column that
     varies on the training set has a slot (``slot[j]``); the constant ones
-    share one that is never scored. For path id p and slot s, ``scored[p, s]``
-    tells whether a fit has searched the column there; if so, ``gain[p, s]``
-    is the gain of its first-best split (-inf: no candidate), and
-    ``threshold``, ``cut`` (the rank of the largest value that goes left),
-    ``left_size`` and ``left_pos`` hold the rest of it. ``hits`` counts the
-    (node, column) searches served. Fits through one table run one at a time.
+    share one that is never searched. ``entries[p, s]`` is one ``ENTRY``
+    record for path id p and slot s: the gain of the first-best split there
+    (NaN: not searched yet; -inf: searched, no candidate), its threshold,
+    ``cut`` (the rank of the largest value that goes left), and the left
+    child's size and positives. ``hits`` counts the (node, column) searches
+    served. Fits through one table run one at a time.
 
     Only nodes holding at least ``_TABLE_MIN_SHARE`` (1%) of the n training
     rows are looked up or kept, so a tree has at most 100 of them at each
-    depth. A path costs ``ENTRY_BYTES`` (29) per slot: 1,218 bytes when all
-    41 NSL-KDD features vary. Past ``_TABLE_MAX_BYTES`` (64 MiB) new paths
-    are scored but not kept.
+    depth. A path costs ``ENTRY.itemsize`` (28) bytes per slot: 1,176 bytes
+    when all 41 NSL-KDD features vary. Past ``_TABLE_MAX_BYTES`` (64 MiB)
+    new paths are searched but not kept.
     """
 
-    # (name, dtype, value before a fit scores the slot) of each entry array
-    FIELDS = (("gain", np.float64, -np.inf), ("threshold", np.float64, 0.0),
-              ("cut", np.int32, 0), ("left_size", np.int32, 0), ("left_pos", np.int32, 0),
-              ("scored", np.bool_, False))
-    ENTRY_BYTES = sum(np.dtype(dtype).itemsize for _, dtype, _ in FIELDS)
+    ENTRY = np.dtype([("gain", np.float64), ("threshold", np.float64), ("cut", np.int32),
+                      ("left_size", np.int32), ("left_pos", np.int32)])
 
     def __init__(self, train: BinaryLabeledDataset, criterion: str) -> None:
         check_criterion(criterion)
-        n, k = np.shape(train.features)
-        if n > np.iinfo(np.int32).max:
+        X = np.asarray(train.features, dtype=np.float64)
+        y = np.asarray(train.targets, dtype=bool)
+        if X.ndim != 2 or X.shape[0] == 0:
+            raise ValueError("training data must contain at least one record")
+        if X.shape[0] != y.size:
+            raise ValueError("feature matrix and targets differ in length")
+        if y.size > np.iinfo(np.int32).max:
             raise ValueError("a split table holds row counts as int32")
         self.train, self.criterion = train, criterion
-        self.floor = _TABLE_MIN_SHARE * n
-        _, values = train.ranks.of(np.asarray(train.features, dtype=np.float64))
-        varying = [j for j, v in enumerate(values) if v.size > 1]
-        self.slot = np.full(k, len(varying), dtype=np.intp)
+        self.floor = _TABLE_MIN_SHARE * y.size
+        self.ranks, self.values = train.ranks.of(X)
+        self.rows = np.concatenate((np.flatnonzero(y), np.flatnonzero(~y)))
+        self.rows.flags.writeable = False
+        self.positives = np.count_nonzero(y)
+        varying = [j for j, v in enumerate(self.values) if v.size > 1]
+        self.slot = np.full(X.shape[1], len(varying), dtype=np.intp)
         self.slot[varying] = np.arange(len(varying))
         self.width = len(varying) + 1
-        self.max_paths = max(1, _TABLE_MAX_BYTES // (self.width * self.ENTRY_BYTES))
+        self.max_paths = max(1, _TABLE_MAX_BYTES // (self.width * self.ENTRY.itemsize))
         self._ids: dict[tuple[int, int, int, int], int] = {}  # (parent, column, cut, side) -> id
         self.hits = 0
-        self._grow(1)
+        self.entries = self.unsearched(1, self.width)
 
     @property
     def paths(self) -> int:
         return len(self._ids) + 1
 
-    def _grow(self, capacity: int) -> None:
-        for name, dtype, empty in self.FIELDS:
-            old = getattr(self, name, np.empty((0, self.width), dtype=dtype))
-            added = np.full((capacity - len(old), self.width), empty, dtype=dtype)
-            setattr(self, name, np.concatenate((old, added)))
+    @classmethod
+    def unsearched(cls, *shape) -> np.ndarray:
+        """Entries that no fit has searched: NaN gains, zeros elsewhere."""
+        entries = np.zeros(shape, dtype=cls.ENTRY)
+        entries["gain"] = np.nan
+        return entries
 
     def child_paths(self, parent, column, cut, side) -> np.ndarray:
         """Ids of the paths that extend ``parent`` by one step each, made on
@@ -192,8 +204,9 @@ class SplitTable:
             if path < 0 and len(ids) + 1 < self.max_paths:
                 path = ids[key] = len(ids) + 1
             out.append(path)
-        if self.paths > len(self.gain):
-            self._grow(min(2 * self.paths, self.max_paths))
+        if self.paths > len(self.entries):
+            added = min(2 * self.paths, self.max_paths) - len(self.entries)
+            self.entries = np.concatenate((self.entries, self.unsearched(added, self.width)))
         return np.array(out, dtype=np.intp)
 
 
@@ -210,46 +223,36 @@ def _joined(parts):
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _level_splits(values, ranks, columns, rows, node, size, pos, criterion, table, path, born):
+def _level_splits(table, columns, rows, node, size, pos, path, born):
     """Best split of every node of one level, from a histogram per column.
 
-    ``values[j]`` are column j's distinct values and ``ranks[j]`` each row's
-    rank among them (``rank_columns``); ``columns`` (an array) are searched in
-    tie-break order. ``rows`` are the level's rows, positives first, and
-    ``node`` the node of each; node i holds ``size[i]`` rows and ``pos[i]``
-    positives, and its path id in ``table`` is ``path[i]`` (-1: not kept).
-    Paths with ids from ``born`` on were made by the running fit, so they
-    have no entries yet: only the older ones are read, in one gather, and a
-    column is counted only at the nodes whose entry it lacks. The cells of
-    every counted column are scored in one pass, as (column, node) groups;
-    each group's first-best split joins the entries read, each node takes
-    the highest gain (the lowest column position on a tie), and the new
-    entries of kept nodes are stored in one scatter. Returns per node the
-    position in ``columns`` of the split column (-1: no candidate), the
-    decrease, the threshold, the rank of the largest value that goes left,
-    and the left child's size and positives.
+    ``columns`` (an array) are searched in tie-break order, with the values,
+    ranks and criterion of ``table``. ``rows`` are the level's rows,
+    positives first, and ``node`` the node of each; node i holds ``size[i]``
+    rows and ``pos[i]`` positives, and its path id in ``table`` is
+    ``path[i]`` (-1: not kept). Paths with ids from ``born`` on were made by
+    the running fit, so they have no entries yet: only the older ones are
+    read, in one gather, and a column is counted only at the nodes whose
+    entry it lacks. The cells of every counted column are scored in one
+    pass, as (column, node) groups; each group's first-best split joins the
+    entries read, each node takes the highest gain (the lowest column
+    position on a tie), and the counted entries of kept nodes are stored in
+    one scatter. Returns per node the position in ``columns`` of the split
+    column (-1: no candidate) and the split, as a ``SplitTable.ENTRY``.
     """
     m = size.size
     size_f, pos_f = size.astype(np.float64), pos.astype(np.float64)
-    parent = _impurity_arrays(pos_f, size_f, criterion)
+    parent = _impurity_arrays(pos_f, size_f, table.criterion)
     slots = table.slot[columns]
-    # per (node, column position) with a candidate: the split's gain,
-    # threshold, cut rank, left size and positives; first the entries read
-    found = []
+    # the split of each (node, column position); first the entries read
+    level = SplitTable.unsearched(m, columns.size)
+    gain = level["gain"]
     known = [0] * columns.size  # nodes with an entry, by column
     old = ((path >= 0) & (path < born)).nonzero()[0]  # nodes whose path may hold entries
     if old.size:
-        at = path[old][:, None]
-        scored = table.scored[at, slots]
-        known = scored.sum(axis=0).tolist()
+        level[old] = table.entries[path[old][:, None], slots]
+        known = (~np.isnan(gain)).sum(axis=0).tolist()
         table.hits += sum(known)
-        has_entry = np.zeros((m, columns.size), dtype=bool)
-        has_entry[old] = scored
-        i, f = (table.gain[at, slots] > -np.inf).nonzero()
-        if i.size:
-            p, j = path[old[i]], slots[f]
-            found.append((old[i], f, *(getattr(table, name)[p, j]
-                                       for name, _, _ in table.FIELDS[:-1])))
     subsets = {}  # the counted nodes' rows, node of each and positives, by the nodes counted
 
     def counted(need):
@@ -262,21 +265,22 @@ def _level_splits(values, ranks, columns, rows, node, size, pos, criterion, tabl
                 subsets[key] = rows[mine], node[mine], pos[need].sum()
         return subsets[key]
 
-    scored_here, histograms = [], []  # the columns counted, and their cells
+    searched, histograms = [], []  # the columns counted, and their cells
     for f, j in enumerate(columns.tolist()):
-        d = values[j].size
+        values = table.values[j]
+        d = values.size
         # constant on the training set (no candidate anywhere), or every
         # node's entry was read above
         if d == 1 or known[f] == m:
             continue
-        count_rows, count_node, positives = counted(~has_entry[:, f] if known[f] else None)
+        count_rows, count_node, positives = counted(np.isnan(gain[:, f]) if known[f] else None)
         cells = m * d
-        cell, count, cell_pos = _histogram(count_node * d + ranks[j][count_rows], positives,
-                                           cells, cells <= _DENSE_CELLS_PER_ROW * count_rows.size)
+        cell, count, cell_pos = _histogram(count_node * d + table.ranks[j][count_rows],
+                                           positives, cells,
+                                           cells <= _DENSE_CELLS_PER_ROW * count_rows.size)
         cell_node, rank = np.divmod(cell, d)
-        scored_here.append(f)
-        histograms.append((f * m + cell_node, rank, values[j][rank], count, cell_pos))
-    fresh = None  # the first-best split of each (column, node) group scored here
+        searched.append(f)
+        histograms.append((f * m + cell_node, rank, values[rank], count, cell_pos))
     if histograms:
         # groups ascend, and so do a group's ranks
         group, rank, value, count, cell_pos = map(_joined, zip(*histograms))
@@ -300,8 +304,8 @@ def _level_splits(values, ranks, columns, rows, node, size, pos, criterion, tabl
         cand_node = g % m
         lp, ln, n = cand_pos.astype(np.float64), cand_size.astype(np.float64), size_f[cand_node]
         rn, rp = n - ln, pos_f[cand_node] - lp
-        children = (ln * _impurity_arrays(lp, ln, criterion)
-                    + rn * _impurity_arrays(rp, rn, criterion)) / n
+        children = (ln * _impurity_arrays(lp, ln, table.criterion)
+                    + rn * _impurity_arrays(rp, rn, table.criterion)) / n
         gains = parent[cand_node] - children
         # candidates run group by group, each group's by threshold, so the
         # first one at its group's maximum has the lowest threshold
@@ -311,29 +315,19 @@ def _level_splits(values, ranks, columns, rows, node, size, pos, criterion, tabl
         at_top = (gains == top[starts.cumsum() - 1]).nonzero()[0]
         chosen = at_top[at_top.searchsorted(first)]
         f, cand_node = np.divmod(g[first], m)
-        fresh = (cand_node, f, top, thresholds[chosen], rank[candidates[chosen]],
-                 cand_size[chosen], cand_pos[chosen])
-        found.append(fresh)
-    out = (np.full(m, -1, dtype=np.intp), np.full(m, -np.inf), np.zeros(m),
-           *(np.zeros(m, dtype=np.int64) for _ in range(3)))
-    if found:
-        # each node's split: the highest gain, then the lowest column position
-        nodes, f, gain, *fields = map(_joined, zip(*found))
-        order = np.lexsort((f, -gain, nodes))
-        won = order[_run_starts(nodes[order])]
-        winners = nodes[won]
-        for array, value in zip(out, (f, gain, *fields)):
-            array[winners] = value[won]
-    tracked = path[path >= 0]
-    if tracked.size and scored_here:  # store what was scored at the kept nodes
-        table.scored[tracked[:, None], slots[scored_here]] = True
-        if fresh is not None:
-            nodes, f, *fields = fresh
-            kept = path[nodes] >= 0
-            p, j = path[nodes[kept]], slots[f[kept]]
-            for (name, _, _), value in zip(table.FIELDS, fields):
-                getattr(table, name)[p, j] = value[kept]
-    return out
+        fresh = (top, thresholds[chosen], rank[candidates[chosen]], cand_size[chosen],
+                 cand_pos[chosen])
+        for name, field in zip(SplitTable.ENTRY.names, fresh):
+            level[name][cand_node, f] = field
+    # a slot still NaN was counted without a candidate, or its column is constant
+    np.fmax(gain, -np.inf, out=gain)
+    feature = gain.argmax(axis=1)  # the highest gain, at the lowest column position
+    best = level[np.arange(m), feature]
+    feature[best["gain"] == -np.inf] = -1
+    kept = (path >= 0).nonzero()[0]
+    if kept.size and searched:  # store the columns counted at the kept nodes
+        table.entries[path[kept][:, None], slots[searched]] = level[kept[:, None], searched]
+    return feature, best
 
 
 def fit(train: BinaryLabeledDataset, criterion: str = "entropy",
@@ -341,11 +335,11 @@ def fit(train: BinaryLabeledDataset, criterion: str = "entropy",
     """Grow a tree on some columns of the training set, a level at a time.
 
     ``columns`` are positions in ``train.features`` (all of them when None);
-    the tree's feature indices count within them. They are read out of the
-    training set's rank table (``train.ranks``, made by the first fit on the
-    matrix), so no projected copy is built. The split searches go through
-    ``table``, which must be made for this training set and criterion: it
-    serves the searches earlier fits made and keeps this fit's. Only paths
+    the tree's feature indices count within them. The fit reads them out of
+    ``table``'s rank table, so no projected copy is built. ``table`` must be
+    made for this training set and criterion: it holds the training context
+    (rank table and row order), serves the split searches earlier fits made
+    and keeps this fit's. Only paths
     the table held when the fit started can have entries, so a level whose
     kept paths are all new reads none. Without a table the fit makes its
     own. The tree is always grown to purity: a node becomes a leaf only when
@@ -353,24 +347,17 @@ def fit(train: BinaryLabeledDataset, criterion: str = "entropy",
     identical tree.
     """
     check_criterion(criterion)
-    X = np.asarray(train.features, dtype=np.float64)
-    y = np.asarray(train.targets, dtype=bool)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("training data must contain at least one record")
-    columns = list(range(X.shape[1]) if columns is None else columns)
-    if not columns:
-        raise ValueError("training data must contain at least one feature column")
-    if X.shape[0] != y.size:
-        raise ValueError("feature matrix and targets differ in length")
     if table is None:
         table = SplitTable(train, criterion)
     elif table.train is not train or table.criterion != criterion:
         raise ValueError("a split table serves only the training set and criterion "
                          "it was made for")
-    n = y.size
+    columns = list(range(table.slot.size) if columns is None else columns)
+    if not columns:
+        raise ValueError("training data must contain at least one feature column")
+    n = table.rows.size
     born = table.paths  # ids from here on are paths this fit makes
-    ranks, values = train.ranks.of(X)
-    flat_ranks = ranks.reshape(-1)  # column j's rank of row i at j * n + i
+    flat_ranks = table.ranks.reshape(-1)  # column j's rank of row i at j * n + i
     column_of = np.asarray(columns)
 
     def is_open(size: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -378,7 +365,7 @@ def fit(train: BinaryLabeledDataset, criterion: str = "entropy",
 
     # per level: the nodes made (sizes, positives) and the splits made; nodes
     # are numbered in the order they are made, made_count so far
-    made, made_count = [(np.array([n]), np.array([np.count_nonzero(y)]))], 1
+    made, made_count = [(np.array([n]), np.array([table.positives]))], 1
     splits = []
     # the level's open nodes (ids, sizes, positives, path ids in the table),
     # their rows, positives first, and the node of each
@@ -386,14 +373,13 @@ def fit(train: BinaryLabeledDataset, criterion: str = "entropy",
     size, pos = (a[root_open] for a in made[0])
     ids = np.zeros(size.size, dtype=np.intp)
     path = np.zeros(size.size, dtype=np.intp)
-    rows = np.concatenate((np.flatnonzero(y), np.flatnonzero(~y)))
+    rows = table.rows
     node = np.zeros(n, dtype=np.intp)
     depth = 0
 
     while size.size:
         with np.errstate(over="ignore"):  # an overflowing midpoint is no candidate
-            feature, decrease, threshold, cut, left_size, left_pos = _level_splits(
-                values, ranks, column_of, rows, node, size, pos, criterion, table, path, born)
+            feature, best = _level_splits(table, column_of, rows, node, size, pos, path, born)
         split = (feature >= 0).nonzero()[0]
         if not split.size:
             break
@@ -401,11 +387,12 @@ def fit(train: BinaryLabeledDataset, criterion: str = "entropy",
         # parent id, left before right
         child_id = np.arange(made_count, made_count + 2 * split.size)
         made_count += child_id.size
-        splits.append((ids[split], feature[split], threshold[split], decrease[split],
+        won = best[split]
+        splits.append((ids[split], feature[split], won["threshold"], won["gain"],
                        child_id[::2], child_id[1::2]))
         depth += 1
         child_size, child_pos = np.empty((2, child_id.size), dtype=np.int64)
-        child_size[::2], child_pos[::2] = left_size[split], left_pos[split]
+        child_size[::2], child_pos[::2] = won["left_size"], won["left_pos"]
         child_size[1::2] = size[split] - child_size[::2]
         child_pos[1::2] = pos[split] - child_pos[::2]
         made.append((child_size, child_pos))
@@ -419,8 +406,8 @@ def fit(train: BinaryLabeledDataset, criterion: str = "entropy",
         keep = (child_open & (path[step] >= 0) & (child_size >= table.floor)).nonzero()[0]
         if keep.size:
             at = step[keep]
-            child_path[keep] = table.child_paths(path[at], column_of[feature[at]], cut[at],
-                                                 keep % 2)
+            child_path[keep] = table.child_paths(path[at], column_of[feature[at]],
+                                                 best["cut"][at], keep % 2)
         path = child_path[order]
         ids, size, pos = child_id[order], child_size[order], child_pos[order]
         # the next level's node of each (node, side)
@@ -430,7 +417,7 @@ def fit(train: BinaryLabeledDataset, criterion: str = "entropy",
         child[split] = nested.reshape(-1, 2)
         # a row goes right when its rank in the split column is above the cut;
         # rows of a node without a split read any column and drop out
-        right = flat_ranks[(column_of[feature] * n)[node] + rows] > cut[node]
+        right = flat_ranks[(column_of[feature] * n)[node] + rows] > best["cut"][node]
         node = child.reshape(-1)[2 * node + right]
         stays = node >= 0
         rows, node = rows[stays], node[stays]

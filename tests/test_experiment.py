@@ -531,13 +531,49 @@ def test_cli_verify_appendix_runs_on_synth(tmp_path, synth_files, capsys):
     assert (tmp_path / "v" / "verification.txt").exists()
 
 
+# each GA setting's flag, and a value the parser accepts for it
+GA_FLAGS = {f"--{key.replace('_', '-')}": str(value) for key, (value, _) in GA_SETTINGS.items()}
+
+
 @pytest.mark.parametrize("flag, value", [("--mode", "ga"), ("--attack", "flood"),
-                                         ("--features", "land")])
+                                         ("--features", "land"), *GA_FLAGS.items()])
 def test_cli_verify_appendix_refuses_the_run_flags(synth_files, capsys, flag, value):
     train, test = synth_files
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as stop:
         run_cli("--train", train, "--test", test, "--verify-appendix", flag, value)
+    assert stop.value.code == 2
     assert f"--verify-appendix cannot be combined with {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", sorted(set(GA_FLAGS) - {"--criterion"}))
+def test_cli_fixed_mode_refuses_the_ga_flags(synth_files, capsys, flag):
+    train, test = synth_files
+    with pytest.raises(SystemExit) as stop:
+        run_cli("--train", train, "--test", test, "--mode", "fixed", "--attack", "flood",
+                "--features", "land", flag, GA_FLAGS[flag])
+    assert stop.value.code == 2
+    assert f"--mode fixed cannot be combined with {flag}" in capsys.readouterr().err
+
+
+def test_cli_config_file_keys_serve_every_kind_of_run(tmp_path, synth_files):
+    # a config file supplies defaults, so the runs that ignore a key accept it
+    train, test = synth_files
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value for key, (value, _) in GA_SETTINGS.items()}))
+    assert run_cli("--train", train, "--test", test, "--verify-appendix",
+                   "--config", config) == 0
+    assert run_cli("--train", train, "--test", test, "--mode", "fixed", "--attack", "flood",
+                   "--features", "land", "--config", config, "--out", tmp_path / "out") == 0
+    doc = json.loads((tmp_path / "out" / "result.json").read_text())
+    assert doc["config"]["criterion"] == GA_SETTINGS["criterion"][0]
+
+
+def test_cli_refuses_a_negative_seed_before_any_file_is_read(tmp_path, capsys):
+    absent = tmp_path / "absent.txt"
+    code = run_cli("--train", absent, "--test", absent, "--mode", "ga", "--attack", "land",
+                   "--seed", -1)
+    assert code == 1
+    assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
 
 
 # ------------------------------------------------------------------ real data

@@ -69,6 +69,9 @@ def test_config_validation():
         GAConfig(seed=0, generations=0)
     with pytest.raises(ValueError):
         GAConfig(seed=0, candidate_features=FeatureMask((False,) * N_FEATURES))
+    for seed in (-1, 1.5, "3", None):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            GAConfig(seed=seed)
 
 
 def test_benchmark_defaults():

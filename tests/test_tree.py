@@ -531,7 +531,7 @@ def test_fits_through_one_split_table_match_table_free_fits(request, target):
         rooted = assert_same_through_table(train, criterion, order, min_share=1.0)
         assert rooted.paths == 1 and rooted.hits > 0
     # a table that is full after three paths scores the other nodes afresh
-    cap = 3 * SplitTable(train, "gini").width * SplitTable.ENTRY_BYTES
+    cap = 3 * SplitTable(train, "gini").width * SplitTable.ENTRY.itemsize
     table = assert_same_through_table(train, "gini", column_sets[:4], max_bytes=cap)
     assert table.paths == 3 and table.hits > 0
 
@@ -571,6 +571,33 @@ def test_split_table_serves_one_training_set_and_criterion(synth_flood, synth_bu
     for data, criterion in ((train, "gini"), (synth_burst[0], "entropy")):
         with pytest.raises(ValueError, match="split table serves only"):
             fit(data, criterion, [4, 7], table)
+
+
+def test_split_table_marks_each_slot_a_fit_searched(synth_burst):
+    train, _ = synth_burst
+    table = SplitTable(train, "entropy")
+    assert table.entries.dtype == SplitTable.ENTRY and SplitTable.ENTRY.itemsize == 28
+    assert table.max_paths == tree_module._TABLE_MAX_BYTES // (table.width * 28)
+    assert table.entries.shape == (1, table.width) and np.isnan(table.entries["gain"]).all()
+
+    def searched(path):
+        return set(np.flatnonzero(~np.isnan(table.entries["gain"][path])).tolist())
+
+    masks = [0, 4, 7, 22, 30], list(range(1, 41, 3))
+    # the slots of each mask's varying columns
+    first, second = ({table.slot[j] for j in mask} - {table.width - 1} for mask in masks)
+    fit(train, "entropy", masks[0], table)
+    born = table.paths
+    # each kept path is the root or a node of the fit, which counted each of
+    # its varying columns there
+    assert born > 1 and all(searched(path) == first for path in range(born))
+    fit(train, "entropy", masks[1], table)
+    assert table.paths > born and searched(0) == first | second
+    assert all(searched(path) in (first, first | second) for path in range(1, born))
+    assert all(searched(path) == second for path in range(born, table.paths))
+    gain = table.entries["gain"]
+    assert np.isnan(gain[table.paths:]).all()
+    assert (gain[:table.paths] == -np.inf).any()  # searched, without a candidate
 
 
 def test_predict_batch_agrees_with_predict_on_deep_trees(synth_burst):
@@ -757,23 +784,25 @@ def test_table_entries_are_read_only_for_paths_older_than_the_fit(synth_burst, m
             levels[-1][1] += 1
             return np.asarray(super().__getitem__(key))
 
-    real_grow, real_level = SplitTable._grow, tree_module._level_splits
+    class SpiedTable(SplitTable):
+        @property
+        def entries(self):
+            return self._entries
 
-    def grow(self, capacity):
-        real_grow(self, capacity)
-        for name, _, _ in self.FIELDS:
-            setattr(self, name, getattr(self, name).view(ReadSpy))
+        @entries.setter
+        def entries(self, entries):
+            self._entries = entries.view(ReadSpy)
 
-    def level(*args):
-        path = args[9]
+    real_level = tree_module._level_splits
+
+    def level(table, columns, rows, node, size, pos, path, born):
         levels.append([bool((path >= 0).any()), 0])
-        return real_level(*args)
+        return real_level(table, columns, rows, node, size, pos, path, born)
 
-    monkeypatch.setattr(SplitTable, "_grow", grow)
     monkeypatch.setattr(tree_module, "_level_splits", level)
     projected = project(train, FeatureMask.from_indices(columns))
     for criterion in CRITERIA:
-        table = SplitTable(train, criterion)
+        table = SpiedTable(train, criterion)
         levels.clear()
         first = fit(train, criterion, columns, table)
         # every path below the root is made by this fit, so only the root reads
