@@ -14,6 +14,15 @@ all the level's columns scores every candidate, one reduction picks each
 node's split, and rows move down by comparing ranks. Nothing is presorted or
 partitioned. Trees are flat arrays in breadth-first node order.
 
+Rows that agree on the label and on every column a fit may split on share
+every node and every (node, rank) cell. A mask of a few low-cardinality
+columns leaves many such duplicates, so when few distinct (ranks, label)
+units stand for the rows, a fit grows over the units: one row stands for
+each, and the histograms add up each unit's row count as its weight. The
+counts, and so the tree, are the same as counting every row. A column that
+counted one present rank at every node of a level has no candidate below it
+and is not counted again in that fit.
+
 Every fit grows through a ``SplitTable``, which holds the training context
 (the checked training set's rank table and row order) and carries split
 searches from one fit to the next on one training set under one criterion; a
@@ -31,7 +40,9 @@ bit-identical whichever table it grows through.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +53,12 @@ CRITERIA = ("entropy", "gini")
 # A level's histogram of a column is a dense table of node x rank cells while
 # it has at most this many cells per row; past that its cells come from a sort.
 _DENSE_CELLS_PER_ROW = 4
+
+# A fit counts units of duplicate rows (see _units) when their composite key
+# spans at most this many cells per training row, and they number at most
+# this share of the rows.
+_UNIT_SPAN_PER_ROW = 4
+_UNIT_MAX_SHARE = 0.5
 
 # A SplitTable keeps only nodes holding at least this share of the training
 # rows, and at most this many bytes of entries.
@@ -107,27 +124,37 @@ def impurity(class_counts, criterion: str) -> float:
     return float(value)
 
 
-def _histogram(key, positives, cells, dense):
+def _histogram(key, positives, cells, dense, weight=None):
     """Column histogram of one level: its present cells in ascending order, with
     the rows and positives of each.
 
     A cell is (node, rank) as ``node * d + rank``; the level has ``cells`` of
-    them. ``key`` is the cell of each counted row, positives (the first
-    ``positives``) first. The histogram comes from a dense table of every cell
-    when ``dense``, else from one sort of the keys, each tagged in its lowest
-    bit with 1 for a negative row.
+    them. ``key`` is the cell of each counted unit, positive units (the first
+    ``positives``) first; a unit stands for ``weight`` rows (None: one each),
+    and weighted counts come as float64, exact. The histogram comes from
+    dense tables of every cell when ``dense``, one for the positive units and
+    one for the negative, else from one sort of the keys, each tagged in its
+    lowest bit with 1 for a negative unit.
     """
     if dense:
-        count = np.bincount(key, minlength=cells)
-        pos = np.bincount(key[:positives], minlength=cells)
+        head, tail = (None, None) if weight is None else (weight[:positives], weight[positives:])
+        pos = np.bincount(key[:positives], head, minlength=cells)
+        count = pos + np.bincount(key[positives:], tail, minlength=cells)
         present = np.flatnonzero(count)
         return present, count[present], pos[present]
     tagged = key << 1
     tagged[positives:] += 1
-    tagged.sort()
+    if weight is None:
+        tagged.sort()
+        negative = tagged & 1
+    else:
+        order = tagged.argsort()
+        tagged, weight = tagged[order], weight[order]
+        negative = np.where(tagged & 1, weight, 0.0)
     first = _run_starts(tagged >> 1).nonzero()[0]
-    count = np.diff(first, append=tagged.size)
-    return tagged[first] >> 1, count, count - np.add.reduceat(tagged & 1, first)
+    count = (np.diff(first, append=tagged.size) if weight is None
+             else np.add.reduceat(weight, first))
+    return tagged[first] >> 1, count, count - np.add.reduceat(negative, first)
 
 
 class SplitTable:
@@ -136,13 +163,14 @@ class SplitTable:
     The table checks the training set once and holds what every fit on it
     reads: the rank table (``ranks``, ``values``: ``rank_columns``, shared
     through ``train.ranks``), the row indices positives first (``rows``,
-    read-only) and the positive count (``positives``).
+    read-only), the positive count (``positives``) and which rows are
+    negative (``negative``).
 
     A node is named by its path (see the module docstring), columns counted
     in ``train.features``. Each path gets a small integer id (the root's is
     0), interned from its parent's id and its last step. Each column that
-    varies on the training set has a slot (``slot[j]``); the constant ones
-    share one that is never searched. ``entries[p, s]`` is one ``ENTRY``
+    varies on the training set has a slot (``slot[j]``); a constant one has
+    none (-1), since no fit searches it. ``entries[p, s]`` is one ``ENTRY``
     record for path id p and slot s: the gain of the first-best split there
     (NaN: not searched yet; -inf: searched, no candidate), its threshold,
     ``cut`` (the rank of the largest value that goes left), and the left
@@ -151,7 +179,7 @@ class SplitTable:
 
     Only nodes holding at least ``_TABLE_MIN_SHARE`` (1%) of the n training
     rows are looked up or kept, so a tree has at most 100 of them at each
-    depth. A path costs ``ENTRY.itemsize`` (28) bytes per slot: 1,176 bytes
+    depth. A path costs ``ENTRY.itemsize`` (28) bytes per slot: 1,148 bytes
     when all 41 NSL-KDD features vary. Past ``_TABLE_MAX_BYTES`` (64 MiB)
     new paths are searched but not kept.
     """
@@ -172,14 +200,15 @@ class SplitTable:
         self.train, self.criterion = train, criterion
         self.floor = _TABLE_MIN_SHARE * y.size
         self.ranks, self.values = train.ranks.of(X)
-        self.rows = np.concatenate((np.flatnonzero(y), np.flatnonzero(~y)))
+        self.negative = ~y
+        self.rows = np.concatenate((np.flatnonzero(y), np.flatnonzero(self.negative)))
         self.rows.flags.writeable = False
         self.positives = np.count_nonzero(y)
         varying = [j for j, v in enumerate(self.values) if v.size > 1]
-        self.slot = np.full(X.shape[1], len(varying), dtype=np.intp)
+        self.slot = np.full(X.shape[1], -1, dtype=np.intp)
         self.slot[varying] = np.arange(len(varying))
-        self.width = len(varying) + 1
-        self.max_paths = max(1, _TABLE_MAX_BYTES // (self.width * self.ENTRY.itemsize))
+        self.width = len(varying)
+        self.max_paths = max(1, _TABLE_MAX_BYTES // (max(1, self.width) * self.ENTRY.itemsize))
         self._ids: dict[tuple[int, int, int, int], int] = {}  # (parent, column, cut, side) -> id
         self.hits = 0
         self.entries = self.unsearched(1, self.width)
@@ -223,22 +252,73 @@ def _joined(parts):
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _level_splits(table, columns, rows, node, size, pos, path, born):
+class _Sample(NamedTuple):
+    """The units a level counts, positive ones (the first ``positives``)
+    first: a row standing for each (``rows``), the rows it stands for
+    (``weight``; None: one each) and its node at the level (``node``)."""
+
+    rows: np.ndarray
+    weight: np.ndarray | None
+    positives: int
+    node: np.ndarray
+
+    def where(self, keep: np.ndarray) -> _Sample:
+        """The units where the bool vector ``keep`` holds, in order."""
+        return _Sample(self.rows[keep], None if self.weight is None else self.weight[keep],
+                       np.count_nonzero(keep[:self.positives]), self.node[keep])
+
+
+def _units(table, columns):
+    """The root's sample of a fit on ``columns`` (varying, distinct): one unit
+    per row, or, when that pays, one per distinct (ranks in ``columns``,
+    label) of the training rows, standing for its rows.
+
+    A unit's rows share a node and a (node, rank) cell at every level, so
+    counting each unit once with its weight gives every count, and so every
+    gain, of counting its rows. Units are found by one count of a composite
+    key, the label its highest digit and the ranks mixed-radix below it, and
+    only when that key spans at most ``_UNIT_SPAN_PER_ROW`` cells per row;
+    they are kept when there are at most ``_UNIT_MAX_SHARE`` of them per row.
+    """
+    n = table.rows.size
+    by_rows = _Sample(table.rows, None, table.positives, np.zeros(n, dtype=np.intp))
+    radix = [table.values[j].size for j in columns]
+    span = 2 * math.prod(radix)  # exact: a Python int
+    if span > _UNIT_SPAN_PER_ROW * n:
+        return by_rows
+    key = table.negative.astype(np.int64)
+    for j, d in zip(columns, radix):
+        key *= d
+        key += table.ranks[j]
+    count = np.bincount(key)
+    units = count.nonzero()[0]  # a positive unit's key is below span // 2
+    if units.size > _UNIT_MAX_SHARE * n:
+        return by_rows
+    row_of = np.empty(count.size, dtype=np.intp)
+    row_of[key] = np.arange(n)  # any row of a unit stands for it
+    return _Sample(row_of[units], count[units].astype(np.float64),
+                   int(units.searchsorted(span // 2)), np.zeros(units.size, dtype=np.intp))
+
+
+def _level_splits(table, columns, dead, sample, size, pos, path, born):
     """Best split of every node of one level, from a histogram per column.
 
-    ``columns`` (an array) are searched in tie-break order, with the values,
-    ranks and criterion of ``table``. ``rows`` are the level's rows,
-    positives first, and ``node`` the node of each; node i holds ``size[i]``
-    rows and ``pos[i]`` positives, and its path id in ``table`` is
-    ``path[i]`` (-1: not kept). Paths with ids from ``born`` on were made by
-    the running fit, so they have no entries yet: only the older ones are
-    read, in one gather, and a column is counted only at the nodes whose
-    entry it lacks. The cells of every counted column are scored in one
+    ``columns`` (an array) vary on the training set and are searched in
+    tie-break order, with the values, ranks and criterion of ``table``; a
+    column marked in ``dead`` has no candidate at any node from here down,
+    and this level marks each column it counts at every node without finding
+    two present ranks at one. ``sample`` holds the level's units; node i
+    holds ``size[i]`` rows and ``pos[i]`` positives, and its path id in
+    ``table`` is ``path[i]`` (-1: not kept). Paths with ids from ``born`` on
+    were made by the running fit, so they have no entries yet: only the older
+    ones are read, in one gather, and a column is counted only at the nodes
+    whose entry it lacks. The cells of every counted column are scored in one
     pass, as (column, node) groups; each group's first-best split joins the
     entries read, each node takes the highest gain (the lowest column
-    position on a tie), and the counted entries of kept nodes are stored in
-    one scatter. Returns per node the position in ``columns`` of the split
-    column (-1: no candidate) and the split, as a ``SplitTable.ENTRY``.
+    position on a tie), and the counted or dead entries of kept nodes are
+    stored in one scatter. Returns per node the position in ``columns`` of
+    the split column (-1: no candidate) and the split, as a
+    ``SplitTable.ENTRY``.
     """
     m = size.size
     size_f, pos_f = size.astype(np.float64), pos.astype(np.float64)
@@ -253,41 +333,42 @@ def _level_splits(table, columns, rows, node, size, pos, path, born):
         level[old] = table.entries[path[old][:, None], slots]
         known = (~np.isnan(gain)).sum(axis=0).tolist()
         table.hits += sum(known)
-    subsets = {}  # the counted nodes' rows, node of each and positives, by the nodes counted
+    subsets = {}  # the counted nodes' units, by the nodes counted
 
     def counted(need):
         key = None if need is None else need.tobytes()
         if key not in subsets:
-            if need is None:
-                subsets[key] = rows, node, pos.sum()
-            else:
-                mine = need[node]
-                subsets[key] = rows[mine], node[mine], pos[need].sum()
+            subsets[key] = sample if need is None else sample.where(need[sample.node])
         return subsets[key]
 
-    searched, histograms = [], []  # the columns counted, and their cells
+    searched, histograms = [], []  # the columns counted or dead, and the cells counted
     for f, j in enumerate(columns.tolist()):
+        if known[f] == m:  # every node's entry was read above
+            continue
+        searched.append(f)
+        if dead[f]:
+            continue
+        units = counted(np.isnan(gain[:, f]) if known[f] else None)
         values = table.values[j]
         d = values.size
-        # constant on the training set (no candidate anywhere), or every
-        # node's entry was read above
-        if d == 1 or known[f] == m:
-            continue
-        count_rows, count_node, positives = counted(np.isnan(gain[:, f]) if known[f] else None)
         cells = m * d
-        cell, count, cell_pos = _histogram(count_node * d + table.ranks[j][count_rows],
-                                           positives, cells,
-                                           cells <= _DENSE_CELLS_PER_ROW * count_rows.size)
+        cell, count, cell_pos = _histogram(units.node * d + table.ranks[j][units.rows],
+                                           units.positives, cells,
+                                           cells <= _DENSE_CELLS_PER_ROW * units.rows.size,
+                                           units.weight)
+        if not known[f] and cell.size == m:  # one present rank at every node
+            dead[f] = True
+            continue
         cell_node, rank = np.divmod(cell, d)
-        searched.append(f)
-        histograms.append((f * m + cell_node, rank, values[rank], count, cell_pos))
+        histograms.append((f * m + cell_node, cell_node, rank, values[rank], count, cell_pos))
     if histograms:
         # groups ascend, and so do a group's ranks
-        group, rank, value, count, cell_pos = map(_joined, zip(*histograms))
+        group, cell_node, rank, value, count, cell_pos = map(_joined, zip(*histograms))
         # a candidate pairs a present rank with the next one of the same
         # group; the midpoint guards cover float collapse onto a neighbour
         # for extreme adjacent values
-        candidates = (group[1:] == group[:-1]).nonzero()[0]
+        opens = _run_starts(group)
+        candidates = (~opens[1:]).nonzero()[0]
         after = candidates + 1
         lo, hi = value[candidates], value[after]
         thresholds = 0.5 * (lo + hi)  # may overflow (see fit): inf fails the guard below
@@ -295,13 +376,13 @@ def _level_splits(table, columns, rows, node, size, pos, path, born):
         if not valid.all():
             candidates, after, thresholds = candidates[valid], after[valid], thresholds[valid]
     if histograms and candidates.size:
-        # a candidate's left rows and positives count from its group's first cell
-        g = group[candidates]
-        start = group.searchsorted(g)
+        # a candidate's left rows and positives count from its group's first
+        # cell, the last group start at or before it
+        start = np.maximum.accumulate(np.where(opens, np.arange(group.size), 0))[candidates]
         before, pos_before = count.cumsum() - count, cell_pos.cumsum() - cell_pos
         cand_size = before[after] - before[start]
         cand_pos = pos_before[after] - pos_before[start]
-        cand_node = g % m
+        cand_node = cell_node[candidates]
         lp, ln, n = cand_pos.astype(np.float64), cand_size.astype(np.float64), size_f[cand_node]
         rn, rp = n - ln, pos_f[cand_node] - lp
         children = (ln * _impurity_arrays(lp, ln, table.criterion)
@@ -309,23 +390,23 @@ def _level_splits(table, columns, rows, node, size, pos, path, born):
         gains = parent[cand_node] - children
         # candidates run group by group, each group's by threshold, so the
         # first one at its group's maximum has the lowest threshold
-        starts = _run_starts(g)
-        first = starts.nonzero()[0]
+        g = group[candidates]
+        first = _run_starts(g).nonzero()[0]
         top = np.maximum.reduceat(gains, first)
-        at_top = (gains == top[starts.cumsum() - 1]).nonzero()[0]
+        at_top = (gains == top.repeat(np.diff(first, append=g.size))).nonzero()[0]
         chosen = at_top[at_top.searchsorted(first)]
-        f, cand_node = np.divmod(g[first], m)
+        f, cand_node = g[first] // m, cand_node[first]
         fresh = (top, thresholds[chosen], rank[candidates[chosen]], cand_size[chosen],
                  cand_pos[chosen])
         for name, field in zip(SplitTable.ENTRY.names, fresh):
             level[name][cand_node, f] = field
-    # a slot still NaN was counted without a candidate, or its column is constant
+    # a slot still NaN was counted without a candidate, or its column is dead
     np.fmax(gain, -np.inf, out=gain)
     feature = gain.argmax(axis=1)  # the highest gain, at the lowest column position
     best = level[np.arange(m), feature]
     feature[best["gain"] == -np.inf] = -1
     kept = (path >= 0).nonzero()[0]
-    if kept.size and searched:  # store the columns counted at the kept nodes
+    if kept.size and searched:  # store the columns counted or dead at the kept nodes
         table.entries[path[kept][:, None], slots[searched]] = level[kept[:, None], searched]
     return feature, best
 
@@ -342,9 +423,13 @@ def fit(train: BinaryLabeledDataset, criterion: str = "entropy",
     and keeps this fit's. Only paths
     the table held when the fit started can have entries, so a level whose
     kept paths are all new reads none. Without a table the fit makes its
-    own. The tree is always grown to purity: a node becomes a leaf only when
-    it is pure or has no candidate split. Same inputs always give an
-    identical tree.
+    own. Only the columns that vary on the training set are searched, and a
+    column is dropped from the search below a level that found one present
+    rank at every node. When few distinct (ranks, label) units stand for
+    the rows (see ``_units``), the fit counts each unit once, by its weight,
+    instead of each row; every count, and so the tree, is the same. The tree
+    is always grown to purity: a node becomes a leaf only when it is pure or
+    has no candidate split. Same inputs always give an identical tree.
     """
     check_criterion(criterion)
     if table is None:
@@ -358,7 +443,10 @@ def fit(train: BinaryLabeledDataset, criterion: str = "entropy",
     n = table.rows.size
     born = table.paths  # ids from here on are paths this fit makes
     flat_ranks = table.ranks.reshape(-1)  # column j's rank of row i at j * n + i
-    column_of = np.asarray(columns)
+    # the positions of the columns that vary, the only ones a split can use
+    position = (table.slot[columns] >= 0).nonzero()[0]
+    column_of = np.asarray(columns, dtype=np.intp)[position]
+    dead = np.zeros(position.size, dtype=bool)
 
     def is_open(size: np.ndarray, pos: np.ndarray) -> np.ndarray:
         return (pos > 0) & (pos < size)  # impure, so it holds at least two rows
@@ -367,19 +455,19 @@ def fit(train: BinaryLabeledDataset, criterion: str = "entropy",
     # are numbered in the order they are made, made_count so far
     made, made_count = [(np.array([n]), np.array([table.positives]))], 1
     splits = []
-    # the level's open nodes (ids, sizes, positives, path ids in the table),
-    # their rows, positives first, and the node of each
-    root_open = is_open(*made[0])
+    # the level's open nodes (ids, sizes, positives, path ids in the table)
+    # and its units
+    root_open = is_open(*made[0]) & bool(position.size)  # no varying column: a leaf
     size, pos = (a[root_open] for a in made[0])
     ids = np.zeros(size.size, dtype=np.intp)
     path = np.zeros(size.size, dtype=np.intp)
-    rows = table.rows
-    node = np.zeros(n, dtype=np.intp)
+    sample = _units(table, sorted(set(column_of.tolist()))) if size.size else None
     depth = 0
 
     while size.size:
         with np.errstate(over="ignore"):  # an overflowing midpoint is no candidate
-            feature, best = _level_splits(table, column_of, rows, node, size, pos, path, born)
+            feature, best = _level_splits(table, column_of, dead, sample, size, pos, path,
+                                          born)
         split = (feature >= 0).nonzero()[0]
         if not split.size:
             break
@@ -388,7 +476,7 @@ def fit(train: BinaryLabeledDataset, criterion: str = "entropy",
         child_id = np.arange(made_count, made_count + 2 * split.size)
         made_count += child_id.size
         won = best[split]
-        splits.append((ids[split], feature[split], won["threshold"], won["gain"],
+        splits.append((ids[split], position[feature[split]], won["threshold"], won["gain"],
                        child_id[::2], child_id[1::2]))
         depth += 1
         child_size, child_pos = np.empty((2, child_id.size), dtype=np.int64)
@@ -415,12 +503,12 @@ def fit(train: BinaryLabeledDataset, criterion: str = "entropy",
         nested = np.full(child_id.size, -1, dtype=np.intp)
         nested[order] = np.arange(order.size)
         child[split] = nested.reshape(-1, 2)
-        # a row goes right when its rank in the split column is above the cut;
-        # rows of a node without a split read any column and drop out
-        right = flat_ranks[(column_of[feature] * n)[node] + rows] > best["cut"][node]
+        # a unit goes right when its rank in the split column is above the
+        # cut; units of a node without a split read any column and drop out
+        node = sample.node
+        right = flat_ranks[(column_of[feature] * n)[node] + sample.rows] > best["cut"][node]
         node = child.reshape(-1)[2 * node + right]
-        stays = node >= 0
-        rows, node = rows[stays], node[stays]
+        sample = sample._replace(node=node).where(node >= 0)
 
     node_size, node_pos = map(np.concatenate, zip(*made))
     counts = np.c_[node_size - node_pos, node_pos]

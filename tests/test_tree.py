@@ -479,6 +479,206 @@ def test_closed_or_unsplittable_siblings_match_pernode_reference():
             assert_same_tree(binary(X, y), criterion)
 
 
+# ------------------------------------------------- units of duplicate rows
+#
+# A fit over few distinct (ranks, label) combinations counts each once, as a
+# unit weighted by its rows; every tree must stay the per-node reference's.
+
+# patches that make every fit count units, and that make none do so
+ALL_UNITS = {"_UNIT_SPAN_PER_ROW": 1 << 20, "_UNIT_MAX_SHARE": 1.0}
+NO_UNITS = {"_UNIT_SPAN_PER_ROW": 0, "_UNIT_MAX_SHARE": 0.0}
+
+
+def units_of(data, columns):
+    """The root sample a fit of ``columns`` counts, under the module's rule."""
+    table = SplitTable(data, "gini")
+    varying = sorted({j for j in columns if table.slot[j] >= 0})
+    return table, tree_module._units(table, varying)
+
+
+def assert_same_tree_by_units(data, criterion, dense_bounds=(None,)):
+    """Under each of ``dense_bounds``, fits that count every unit and fits
+    that count every row both give the per-node reference's tree."""
+    for patch in (ALL_UNITS, NO_UNITS):
+        with mock.patch.multiple(tree_module, **patch):
+            assert_same_tree(data, criterion, dense_bounds=dense_bounds)
+
+
+@settings(max_examples=100, deadline=None)
+@given(instance=tied_instances, criterion=st.sampled_from(["entropy", "gini"]),
+       tiles=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_unit_growth_matches_pernode_reference_on_tiled_tied_matrices(
+        instance, criterion, tiles, seed):
+    rows, y = instance
+    # each row repeated, in shuffled order, so units stand for several rows
+    order = np.random.default_rng(seed).permutation(len(rows) * tiles)
+    X, labels = np.tile(np.asarray(rows), (tiles, 1))[order], np.tile(y, tiles)[order]
+    data = binary(X, labels)
+    with mock.patch.multiple(tree_module, **ALL_UNITS):
+        _, sample = units_of(data, range(X.shape[1]))
+    if tiles > 1 and X.shape[1] and np.ptp(X, axis=0).any():
+        assert sample.weight is not None and sample.rows.size <= X.shape[0] // tiles
+    assert_same_tree_by_units(data, criterion, dense_bounds=(None, 0, np.inf))
+
+
+# few-column masks of the synthetic set that the module's rule grows by units
+FEW_COLUMN_MASKS = [[22], [23], [7, 11, 23], [1, 2, 3, 7, 11], [0, 6, 11, 8]]
+
+
+@pytest.mark.parametrize("target", ["flood", "burst"])
+def test_unit_growth_matches_pernode_reference_on_few_column_masks(request, target):
+    train, _ = request.getfixturevalue(f"synth_{target}")
+    for columns in FEW_COLUMN_MASKS:
+        _, sample = units_of(train, columns)
+        assert sample.weight is not None and sample.rows.size < 0.5 * len(train.targets)
+        mask = FeatureMask.from_indices(columns)
+        projected = project(train, mask)
+        for criterion in CRITERIA:
+            tree = assert_same_tree(projected, criterion, dense_bounds=(None, 0, np.inf))
+            in_place = fit(train, criterion, mask_columns(train, mask))
+            for name in TREE_ARRAYS:
+                assert getattr(in_place, name).tobytes() == getattr(tree, name).tobytes(), name
+            with mock.patch.multiple(tree_module, **NO_UNITS):
+                by_rows = fit(train, criterion, mask_columns(train, mask))
+            for name in TREE_ARRAYS:
+                assert getattr(by_rows, name).tobytes() == getattr(tree, name).tobytes(), name
+
+
+def test_units_stand_for_every_row_once(synth_burst):
+    train, _ = synth_burst
+    table, sample = units_of(train, [1, 2, 3, 7, 11])
+    ranks = table.ranks[[1, 2, 3, 7, 11]]
+    y = np.asarray(train.targets)
+    # one unit per distinct (ranks, label), positive units first
+    want = Counter(zip(map(tuple, ranks.T.tolist()), y.tolist()))
+    got = Counter()
+    for row, weight in zip(sample.rows.tolist(), sample.weight.tolist()):
+        got[tuple(ranks[:, row].tolist()), bool(y[row])] += weight
+    assert got == want and len(want) == sample.rows.size
+    assert y[sample.rows[:sample.positives]].all() and not y[sample.rows[sample.positives:]].any()
+    assert sample.weight.dtype == np.float64 and not sample.node.any()
+    # each unit counted once per row it stands for: the positives too
+    assert sample.weight[:sample.positives].sum() == table.positives
+
+
+def test_unit_growth_through_one_split_table_with_partly_known_levels(synth_burst, monkeypatch):
+    # masks that share columns, fitted in turn through one table without a
+    # floor, so later fits count a column at some nodes of a level only
+    train, _ = synth_burst
+    column_sets = [[1, 7, 11], [1, 2, 7, 11], [2, 3, 11], [1, 2, 3, 7, 11], [3, 7], [1, 2, 3]]
+    partial = []
+    real_where = tree_module._Sample.where
+
+    def where(self, keep):
+        if sys._getframe(1).f_code.co_name == "counted":  # some nodes of a level
+            partial.append((self.weight is not None, int(keep.sum()), keep.size))
+        return real_where(self, keep)
+
+    monkeypatch.setattr(tree_module._Sample, "where", where)
+    for criterion in CRITERIA:
+        partial.clear()
+        assert_same_through_table(train, criterion, column_sets)
+        # levels partly known, counted over a subset of the units
+        assert any(weighted and 0 < kept < size for weighted, kept, size in partial)
+        assert all(units_of(train, columns)[1].weight is not None for columns in column_sets)
+
+
+def test_masks_whose_unit_key_would_overflow_int64_grow_by_rows(monkeypatch):
+    # 24 columns of 8 distinct values each: a composite key spans 2 * 8**24
+    # (about 9.4e21) cells, past int64; the same rows' first two columns
+    # key 128 cells, so they grow by units
+    rng = np.random.default_rng(9)
+    X = rng.integers(0, 8, (96, 24)).astype(float)
+    X = np.tile(X, (3, 1))
+    X[:, :2] = np.arange(8)[rng.integers(0, 8, (X.shape[0], 2))]
+    y = (X[:, 0] + rng.integers(0, 3, X.shape[0])) % 2 == 1
+    data = binary(X, y)
+    assert 2 * 8**24 > np.iinfo(np.int64).max
+    keys = []
+    real_units = tree_module._units
+    monkeypatch.setattr(tree_module, "_units",
+                        lambda table, columns: keys.append(len(columns)) or real_units(table, columns))
+    # as set, every histogram from a sort, and every one a dense table
+    for bound in (None, 0, np.inf):
+        assert units_of(data, range(24))[1].weight is None
+        assert units_of(data, [0, 1])[1].weight is not None
+        for criterion in CRITERIA:
+            keys.clear()
+            with mock.patch.object(tree_module, "_DENSE_CELLS_PER_ROW",
+                                   tree_module._DENSE_CELLS_PER_ROW if bound is None else bound):
+                for columns in (list(range(24)), [0, 1]):
+                    projected = binary(X[:, columns], y)
+                    assert_same_tree(projected, criterion)
+                    wide = fit(data, criterion, columns)
+                    for name in TREE_ARRAYS:
+                        assert getattr(wide, name).tobytes() == \
+                            getattr(fit(projected, criterion), name).tobytes(), name
+            assert 24 in keys and 2 in keys
+
+
+def test_a_column_without_two_ranks_at_any_node_is_not_counted_again():
+    # column 1 is whether column 0 is at least 5, so below a root split at
+    # that cut it has one rank at every node; column 2 is noise
+    rng = np.random.default_rng(11)
+    signal = rng.integers(0, 10, 400).astype(float)
+    X = np.column_stack([signal, signal >= 5, rng.integers(0, 4, 400)])
+    y = (signal >= 5) ^ (rng.random(400) < 0.3)
+    levels = []  # per level: its node count, then the cells of each histogram
+    real_level, real_histogram = tree_module._level_splits, tree_module._histogram
+
+    def level(table, columns, dead, sample, size, pos, path, born):
+        levels.append([size.size])
+        return real_level(table, columns, dead, sample, size, pos, path, born)
+
+    def histogram(key, positives, cells, *rest):
+        levels[-1].append(cells)
+        return real_histogram(key, positives, cells, *rest)
+
+    for criterion in CRITERIA:
+        tree = assert_same_tree(binary(X, y), criterion)
+        assert tree.depth >= 4 and tree.feature[0] == 0
+        levels.clear()
+        with mock.patch.multiple(tree_module, _level_splits=level, _histogram=histogram):
+            fit(binary(X, y), criterion)
+        # the ranks of each column counted at each level
+        ranks = [[cells // m for cells in counted] for m, *counted in levels]
+        assert ranks[:2] == [[10, 2, 4], [10, 2, 4]]
+        assert all(2 not in counted for counted in ranks[2:]) and len(ranks) >= 4
+
+
+@st.composite
+def weighted_histogram_cases(draw):
+    """Cell keys of counted units, positives first, and their weights."""
+    key, positives, cells = draw(histogram_cases())
+    weight = draw(st.lists(st.integers(1, 1000), min_size=key.size, max_size=key.size))
+    return key, positives, cells, np.array(weight, dtype=np.float64)
+
+
+@settings(max_examples=300)
+@example(case=(np.array([0], dtype=np.intp), 1, 1, np.array([7.0])))
+@example(case=(np.array([3, 3, 0], dtype=np.intp), 1, 4, np.array([2.0, 5.0, 1.0])))
+@given(case=weighted_histogram_cases())
+def test_weighted_histogram_counts_each_unit_by_its_weight(case):
+    key, positives, cells, weight = case
+    drawn, weights = key.copy(), weight.copy()
+    dense = tree_module._histogram(key, positives, cells, True, weight)
+    sparse = tree_module._histogram(key, positives, cells, False, weight)
+    assert np.array_equal(key, drawn) and np.array_equal(weight, weights)
+    assert [a.tolist() for a in dense] == [a.tolist() for a in sparse]
+    rows, pos = Counter(), Counter()
+    for i, (cell, w) in enumerate(zip(key.tolist(), weight.tolist())):
+        rows[cell] += w
+        pos[cell] += w if i < positives else 0
+    present = sorted(rows)
+    assert sparse[0].tolist() == present
+    assert sparse[1].tolist() == [rows[cell] for cell in present]
+    assert sparse[2].tolist() == [pos[cell] for cell in present]
+    # weights of one count a unit as one row
+    ones = tree_module._histogram(key, positives, cells, False, np.ones(key.size))
+    plain = tree_module._histogram(key, positives, cells, False)
+    assert [a.tolist() for a in ones] == [a.tolist() for a in plain]
+
+
 # ----------------------------------------------------------- the split table
 
 
@@ -583,9 +783,14 @@ def test_split_table_marks_each_slot_a_fit_searched(synth_burst):
     def searched(path):
         return set(np.flatnonzero(~np.isnan(table.entries["gain"][path])).tolist())
 
+    # a slot for each varying column, none (-1) for a constant one
+    varying = np.ptp(train.features, axis=0) > 0
+    assert table.width == varying.sum() < varying.size
+    assert sorted(table.slot[varying]) == list(range(table.width))
+    assert (table.slot[~varying] == -1).all()
     masks = [0, 4, 7, 22, 30], list(range(1, 41, 3))
     # the slots of each mask's varying columns
-    first, second = ({table.slot[j] for j in mask} - {table.width - 1} for mask in masks)
+    first, second = ({table.slot[j] for j in mask} - {-1} for mask in masks)
     fit(train, "entropy", masks[0], table)
     born = table.paths
     # each kept path is the root or a node of the fit, which counted each of
@@ -795,9 +1000,9 @@ def test_table_entries_are_read_only_for_paths_older_than_the_fit(synth_burst, m
 
     real_level = tree_module._level_splits
 
-    def level(table, columns, rows, node, size, pos, path, born):
+    def level(table, columns, dead, sample, size, pos, path, born):
         levels.append([bool((path >= 0).any()), 0])
-        return real_level(table, columns, rows, node, size, pos, path, born)
+        return real_level(table, columns, dead, sample, size, pos, path, born)
 
     monkeypatch.setattr(tree_module, "_level_splits", level)
     projected = project(train, FeatureMask.from_indices(columns))
