@@ -14,7 +14,7 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .ga import EvaluatedIndividual, GAConfig, Tracer, compute_fitness, run
+from .ga import EvaluatedIndividual, GAConfig, GAResult, Tracer, compute_fitness, run
 from .metrics import ConfusionMatrix, MetricsReport, table_header, table_row
 from .nslkdd import (
     DOS_ATTACKS,
@@ -68,20 +68,19 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentResult:
-    """One run's outcome: its best individual, GA trajectory and evaluation counts."""
+    """One run's outcome: its best individual and, in ga mode, its search."""
 
     config: ExperimentConfig
     target_attacks: tuple[str, ...]
     best: EvaluatedIndividual  # cm and metrics are None only if a search ended on the empty mask
-    history: tuple[float, ...]  # empty in fixed mode
     codebook: Codebook
     duration_seconds: float
-    # evaluation counts, as in GAResult; a fixed-mode run fits its one mask
-    requested: int = 0
-    exact_hits: int = 0
-    memo_hits: int = 0
-    fitted: int = 0
-    split_hits: int = 0
+    search: GAResult | None = None  # the GA run's trajectory and counts; None in fixed mode
+
+    @property
+    def history(self) -> tuple[float, ...]:
+        """The search's best-fitness trajectory; empty in fixed mode."""
+        return self.search.history if self.search is not None else ()
 
     @property
     def selected_features(self) -> tuple[str, ...]:
@@ -90,11 +89,6 @@ class ExperimentResult:
     @property
     def selected_aliases(self) -> tuple[str, ...]:
         return tuple(report_alias(n) for n in self.selected_features)
-
-    def evaluation_line(self) -> str:
-        """The evaluation counts in one line, for the console and run.log."""
-        return (f"evaluations requested={self.requested} exact_hits={self.exact_hits} "
-                f"memo_hits={self.memo_hits} fitted={self.fitted} split_hits={self.split_hits}")
 
     def table_text(self) -> str:
         """The result table's header and row, or why there is no classifier."""
@@ -200,23 +194,19 @@ def run_experiment(
     test_binary = relabel(test, attacks)
 
     if cfg.mode == "fixed":
+        search = None
         best = compute_fitness(cfg.fixed_mask(), train_binary, test_binary, cfg.criterion)
-        history: tuple[float, ...] = ()
-        counts = {"requested": 1, "fitted": 1}
     else:
-        result = run(cfg.ga, train_binary, test_binary, trace=trace)
-        best, history = result.best, result.history
-        counts = {name: getattr(result, name)
-                  for name in ("requested", "exact_hits", "memo_hits", "fitted", "split_hits")}
+        search = run(cfg.ga, train_binary, test_binary, trace=trace)
+        best = search.best
 
     return ExperimentResult(
         config=cfg,
         target_attacks=tuple(sorted(attacks)),
         best=best,
-        history=history,
         codebook=codebook,
         duration_seconds=time.perf_counter() - started,
-        **counts,
+        search=search,
     )
 
 

@@ -8,15 +8,16 @@ individual can never get worse.
 
 Random draws for selection, crossover and mutation are made sequentially
 from one seeded stream before a generation is evaluated, and evaluations
-are pure, so neither the fitness memo nor the split table can change the
-outcome of a run: the memo serves a mask only when earlier fits prove that
-it grows the same tree (``FitnessMemo``).
+are pure, so the way a run evaluates cannot change its outcome. A run's
+``FitnessMemo`` owns its evaluations: it holds the training and test sets,
+the criterion and the run's split table, serves a mask only when earlier
+fits prove that it grows the same tree, fits every other mask through the
+table, and counts both.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,6 +31,7 @@ from .nslkdd import (  # noqa: F401
 from .tree import SplitTable, check_criterion, fit, predict_batch
 
 Tracer = Callable[[int, "EvaluatedIndividual"], None]
+Evaluator = Callable[[list[FeatureMask]], list["EvaluatedIndividual"]]
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,11 @@ class GAConfig:
     candidate_features: FeatureMask | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+        for name in ("seed", "population_size", "generations", "tournament_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         check_criterion(self.criterion)
         if self.population_size < 2:
@@ -70,11 +76,14 @@ class GAConfig:
 class EvaluatedIndividual:
     mask: FeatureMask
     fitness: float
-    selected_count: int
     metrics: MetricsReport | None = None
     cm: ConfusionMatrix | None = None
     # the features the fitted tree splits on; None when no tree was fitted
     used_features: FeatureMask | None = None
+
+    @property
+    def selected_count(self) -> int:
+        return self.mask.selected_count
 
 
 @dataclass
@@ -94,6 +103,11 @@ class GAResult:
     fitted: int  # passed to compute_fitness
     split_hits: int  # (node, column) split searches served by the SplitTable
 
+    def evaluation_line(self) -> str:
+        """The evaluation counts in one line, for the console and run.log."""
+        return (f"evaluations requested={self.requested} exact_hits={self.exact_hits} "
+                f"memo_hits={self.memo_hits} fitted={self.fitted} split_hits={self.split_hits}")
+
 
 def compute_fitness(
     mask: FeatureMask,
@@ -111,7 +125,7 @@ def compute_fitness(
     fitness of 1.0 directly.
     """
     if mask.selected_count == 0:
-        return EvaluatedIndividual(mask=mask, fitness=1.0, selected_count=0)
+        return EvaluatedIndividual(mask=mask, fitness=1.0)
     tree = fit(train, criterion, mask_columns(train, mask), table)
     predictions = predict_batch(tree, test.features, mask_columns(test, mask))
     cm = confusion(predictions, test.targets)
@@ -121,7 +135,6 @@ def compute_fitness(
     return EvaluatedIndividual(
         mask=mask,
         fitness=report.fitness,
-        selected_count=mask.selected_count,
         metrics=report,
         cm=cm,
         used_features=FeatureMask.from_names([tree.feature_names[f] for f in used]),
@@ -129,7 +142,7 @@ def compute_fitness(
 
 
 class FitnessMemo:
-    """Evaluations of one run, served to every mask known to grow the same tree.
+    """The evaluations of one run: each mask is served or fitted, and counted.
 
     Say the trees fitted for masks M1, M2, ... split only on features U. Each
     is the tree of U: at every node, each column of each Mi lost to the split
@@ -137,17 +150,21 @@ class FitnessMemo:
     leaf none had a candidate. Both hold per column on the node's rows, which
     its path fixes, so every non-empty X with U <= X <= M1 | M2 | ... grows
     that tree too and takes its fitness, confusion and metrics without a fit,
-    keeping its own mask and selected_count. At most one group serves X: a
-    tree has one used set. Each fitted mask also keeps its own evaluation,
-    which alone serves the empty mask and counts repeats as exact hits. Masks
-    are int bitmasks; ``add`` follows a missed ``lookup``.
+    keeping its own mask. At most one group serves X: a tree has one used
+    set. Each fitted mask also keeps its own evaluation, which alone serves
+    the empty mask and counts repeats as exact hits. Masks are int bitmasks.
+    Every fit grows through the memo's ``table``, which lives as long as it.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, train: BinaryLabeledDataset, test: BinaryLabeledDataset,
+                 criterion: str) -> None:
+        self.train, self.test, self.criterion = train, test, criterion
+        self.table = SplitTable(train, criterion)
         self._exact: dict[int, EvaluatedIndividual] = {}  # fitted mask -> result
         self._groups: dict[int, tuple[int, EvaluatedIndividual]] = {}  # U -> (union, result)
         self.exact_hits = 0
         self.memo_hits = 0
+        self.fitted = 0
 
     def lookup(self, mask: FeatureMask) -> EvaluatedIndividual | None:
         x = mask.bitmask
@@ -158,8 +175,7 @@ class FitnessMemo:
             for used, (union, served) in self._groups.items():
                 if not used & ~x and not x & ~union:
                     self.memo_hits += 1
-                    return dataclasses.replace(served, mask=mask,
-                                               selected_count=mask.selected_count)
+                    return dataclasses.replace(served, mask=mask)
         return None
 
     def add(self, individual: EvaluatedIndividual) -> None:
@@ -170,31 +186,23 @@ class FitnessMemo:
             union, served = self._groups.get(used, (0, individual))
             self._groups[used] = (union | x, served)
 
+    def evaluate(self, masks: list[FeatureMask]) -> list[EvaluatedIndividual]:
+        """Evaluate a batch of masks one at a time, in input order.
 
-def _evaluate(
-    masks: list[FeatureMask],
-    train: BinaryLabeledDataset,
-    test: BinaryLabeledDataset,
-    criterion: str,
-    memo: FitnessMemo | None,
-    table: SplitTable | None = None,
-) -> list[EvaluatedIndividual]:
-    """Evaluate a batch of masks one at a time, in input order.
-
-    Each mask is looked up in the memo first, so it can be served by any mask
-    evaluated before it, earlier in the same batch included; a miss is fitted
-    (through ``table``) and added. Without a memo (``use_cache=False``) every
-    mask is fitted.
-    """
-    results = []
-    for mask in masks:
-        individual = memo.lookup(mask) if memo is not None else None
-        if individual is None:
-            individual = compute_fitness(mask, train, test, criterion, table)
-            if memo is not None:
-                memo.add(individual)
-        results.append(individual)
-    return results
+        Each mask is looked up first, so it can be served by any mask
+        evaluated before it, earlier in the same batch included; a miss is
+        fitted through the table and added.
+        """
+        results = []
+        for mask in masks:
+            individual = self.lookup(mask)
+            if individual is None:
+                individual = compute_fitness(mask, self.train, self.test, self.criterion,
+                                             self.table)
+                self.fitted += 1
+                self.add(individual)
+            results.append(individual)
+        return results
 
 
 def _random_mask(rng: np.random.Generator, candidates: FeatureMask | None) -> FeatureMask:
@@ -207,14 +215,7 @@ def _random_mask(rng: np.random.Generator, candidates: FeatureMask | None) -> Fe
             return FeatureMask.from_array(genes)
 
 
-def init_population(
-    cfg: GAConfig,
-    train: BinaryLabeledDataset,
-    test: BinaryLabeledDataset,
-    *,
-    cache: FitnessMemo | None = None,
-    table: SplitTable | None = None,
-) -> Population:
+def init_population(cfg: GAConfig, evaluate: Evaluator) -> Population:
     """Draw, evaluate and sort the seeded initial population.
 
     Genes start on with probability one half; an all-zero draw is redrawn, so
@@ -222,8 +223,7 @@ def init_population(
     """
     rng = np.random.default_rng(cfg.seed)
     masks = [_random_mask(rng, cfg.candidate_features) for _ in range(cfg.population_size)]
-    individuals = sorted(_evaluate(masks, train, test, cfg.criterion, cache, table),
-                         key=ranking_key)
+    individuals = sorted(evaluate(masks), key=ranking_key)
     return Population(individuals=individuals, generation=0, rng=rng)
 
 
@@ -263,15 +263,7 @@ def mutate(
     return FeatureMask.from_array(m.as_array() ^ flips)
 
 
-def evolve(
-    pop: Population,
-    cfg: GAConfig,
-    train: BinaryLabeledDataset,
-    test: BinaryLabeledDataset,
-    *,
-    cache: FitnessMemo | None = None,
-    table: SplitTable | None = None,
-) -> Population:
+def evolve(pop: Population, cfg: GAConfig, evaluate: Evaluator) -> Population:
     """One generation: breed population_size children, merge, sort, truncate."""
     rng = pop.rng
     child_masks: list[FeatureMask] = []
@@ -284,7 +276,7 @@ def evolve(
                 child = child.constrain(cfg.candidate_features)
             child_masks.append(child)
     child_masks = child_masks[: cfg.population_size]
-    children = _evaluate(child_masks, train, test, cfg.criterion, cache, table)
+    children = evaluate(child_masks)
     merged = sorted(pop.individuals + children, key=ranking_key)
     return Population(
         individuals=merged[: cfg.population_size],
@@ -306,22 +298,26 @@ def run(
     Returns the best individual of the final population (fitness, then fewest
     features, then gene order) and the best-fitness trajectory, one entry for
     the initial population plus one per completed generation. With
-    ``use_cache`` the run keeps a ``FitnessMemo`` and a ``SplitTable``; both
-    live as long as the run. Without it every mask is fitted through a table
-    of its own, so nothing is shared between evaluations.
+    ``use_cache`` a ``FitnessMemo`` evaluates the run's masks and counts them.
+    Without it every mask is fitted through a split table of its own, so
+    nothing is shared between evaluations.
     """
-    memo = FitnessMemo() if use_cache else None
-    table = SplitTable(train, cfg.criterion) if use_cache else None
-    pop = init_population(cfg, train, test, cache=memo, table=table)
+    if use_cache:
+        memo = FitnessMemo(train, test, cfg.criterion)
+        evaluate = memo.evaluate
+    else:
+        def evaluate(masks):
+            return [compute_fitness(mask, train, test, cfg.criterion) for mask in masks]
+    pop = init_population(cfg, evaluate)
     history = [pop.individuals[0].fitness]
     if trace is not None:
         trace(0, pop.individuals[0])
     while pop.individuals[0].fitness > cfg.early_stop_fitness and pop.generation < cfg.generations:
-        pop = evolve(pop, cfg, train, test, cache=memo, table=table)
+        pop = evolve(pop, cfg, evaluate)
         history.append(pop.individuals[0].fitness)
         if trace is not None:
             trace(pop.generation, pop.individuals[0])
     requested = cfg.population_size * len(history)
-    exact, served = (memo.exact_hits, memo.memo_hits) if memo is not None else (0, 0)
-    return GAResult(pop.individuals[0], tuple(history), requested, exact, served,
-                    requested - exact - served, table.hits if table is not None else 0)
+    counts = ((memo.exact_hits, memo.memo_hits, memo.fitted, memo.table.hits) if use_cache
+              else (0, 0, requested, 0))
+    return GAResult(pop.individuals[0], tuple(history), requested, *counts)

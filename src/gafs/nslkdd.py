@@ -13,15 +13,16 @@ matrix, and keeps each symbolic column and the labels as ``Categories``:
 the distinct values and one code per row. It checks every rule of the
 format on the result. Every other file, and any file that the read
 refuses, goes to a block checker, which reads it with ``float()`` into the
-same matrix and names the line at fault. ``build_codebook`` numbers the
-training set's symbolic values; ``encode`` maps each column's distinct
-values through the codebook and writes the rows' codes into the matrix's
-symbolic columns, in place, and ``relabel`` marks the distinct labels and
-takes the targets likewise, so the matrix the parse wrote is the one the
-trees read. An encoded set's rank table (``ColumnRanks``), which the trees
-read column by column, is made by the first fit on it and shared with its
-relabels. ``project`` copies a set's mask columns; the pipeline reads the
-columns in place instead.
+same matrix, refusing "_" and non-ASCII digits as the C reader does, and
+names the line at fault. ``build_codebook`` numbers the training set's
+symbolic values; ``encode`` maps each column's distinct values through the
+codebook and writes the rows' codes into the matrix's symbolic columns, in
+place, and ``relabel`` marks the distinct labels and takes the targets
+likewise, so the matrix the parse wrote is the one the trees read. An
+encoded set's rank table (``ColumnRanks``), which the trees read column by
+column, is made by the first fit on it and shared with its relabels.
+``project`` copies a set's mask columns; the pipeline reads the columns in
+place instead.
 """
 
 from __future__ import annotations
@@ -520,12 +521,15 @@ def _parse_block(lines: list[str], file_name: str, first: int, features: np.ndar
             coders[SYMBOLIC_COLUMNS.index(name)].add(column)
             continue
         out = features[:, ci]
+        text = "".join(column)
         try:
-            out[:] = np.asarray(column, dtype=np.float64)
+            out[:] = np.asarray(column if text.isascii() and "_" not in text
+                                else [_plain_number(value) for value in column],
+                                dtype=np.float64)
         except ValueError:  # numpy parses str with float(); find the value it refused
             for row, value in enumerate(column):
                 try:
-                    float(value)
+                    float(_plain_number(value))
                 except ValueError:
                     raise error(row, f"column {name!r}: cannot parse {value!r} "
                                      "as a number") from None
@@ -541,11 +545,21 @@ def _parse_block(lines: list[str], file_name: str, first: int, features: np.ndar
 
     for value in {row[-1] for row in rows if len(row) == N_FEATURES + 2}:
         try:
-            int(value.strip())
+            int(_plain_number(value.strip()))
         except ValueError:
             bad = next(i for i, row in enumerate(rows)
                        if len(row) == N_FEATURES + 2 and row[-1] == value)
             raise error(bad, f"difficulty column {value!r} is not an integer") from None
+
+
+def _plain_number(value: str) -> str:
+    """``value``, for ``float()`` or ``int()``. Those also read "_" between
+    digits and non-ASCII digits, which numpy's C read refuses, so a value
+    whose stripped text holds "_" or a non-ASCII character raises ValueError."""
+    stripped = value.strip()
+    if "_" in stripped or not stripped.isascii():
+        raise ValueError(f"not a plain ASCII number: {value!r}")
+    return value
 
 
 def build_codebook(train: RawDataset) -> Codebook:

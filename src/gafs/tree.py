@@ -528,9 +528,10 @@ def predict_batch(tree: DecisionTree, features, columns=None) -> np.ndarray:
     ``columns`` are the positions in ``features`` of the tree's features, so
     a tree fitted on some columns of a matrix reads a matrix of the same
     layout in place; when None, the matrix holds just the tree's features,
-    in order. Either layout is read in place.
+    in order. A column-major matrix, as ``Dataset.features`` is, is read in
+    place; any other is copied to that layout first.
     """
-    X = np.asarray(features, dtype=np.float64)
+    X = np.asfortranarray(features, dtype=np.float64)
     width = X.shape[1] if X.ndim == 2 else -1
     if columns is None:
         if width != tree.feature_count:
@@ -541,12 +542,8 @@ def predict_batch(tree: DecisionTree, features, columns=None) -> np.ndarray:
     if columns.shape != (tree.feature_count,) or not ((0 <= columns) & (columns < width)).all():
         raise ValueError(f"expected {tree.feature_count} positions of columns of a matrix, "
                          f"got {columns.tolist()} for shape {X.shape}")
-    if not X.flags.f_contiguous:
-        X = np.ascontiguousarray(X)
-    # a view of either layout: row i's column j at i * row_step + j * column_step
-    flat = X.ravel(order="A")
-    row_step, column_step = (stride // X.itemsize for stride in X.strides)
-    offset = columns * column_step  # of each of the tree's features
+    flat = X.ravel(order="F")  # a view: row i's column j at i + j * rows
+    offset = columns * X.shape[0]  # of each of the tree's features
     node = np.zeros(X.shape[0], dtype=np.intp)
     rows = np.arange(X.shape[0])
     while rows.size:
@@ -554,6 +551,6 @@ def predict_batch(tree: DecisionTree, features, columns=None) -> np.ndarray:
         feature = tree.feature[at]
         inner = feature >= 0
         rows, at, feature = rows[inner], at[inner], feature[inner]
-        go_left = flat[rows * row_step + offset[feature]] <= tree.threshold[at]
+        go_left = flat[rows + offset[feature]] <= tree.threshold[at]
         node[rows] = np.where(go_left, tree.left[at], tree.right[at])
     return tree.predicted[node]

@@ -344,7 +344,7 @@ class SubsetMemo:
         if served is None:
             return None
         self.memo_hits += 1
-        return dataclasses.replace(served, mask=mask, selected_count=mask.selected_count)
+        return dataclasses.replace(served, mask=mask)
 
     def add(self, individual) -> None:
         used = individual.used_features

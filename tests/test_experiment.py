@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -221,12 +222,11 @@ def test_emit_handles_empty_mask_result(tmp_path, synth_files):
     from gafs.nslkdd import FeatureMask
 
     base = run_experiment(ga_cfg(synth_files, pop=4, generations=1))
-    empty = EvaluatedIndividual(
-        mask=FeatureMask((False,) * 41), fitness=1.0, selected_count=0
-    )
+    empty = EvaluatedIndividual(mask=FeatureMask((False,) * 41), fitness=1.0)
     degenerate = ExperimentResult(
         config=base.config, target_attacks=base.target_attacks, best=empty,
-        history=(1.0,), codebook=base.codebook, duration_seconds=0.1,
+        codebook=base.codebook, duration_seconds=0.1,
+        search=dataclasses.replace(base.search, best=empty, history=(1.0,)),
     )
     written = emit_reports(degenerate, tmp_path / "out")
     assert {p.name for p in written} >= {"result.json", "table.txt", "features.txt"}
@@ -597,19 +597,17 @@ def test_real_land_fixed_experiment_end_to_end(tmp_path, real_paths):
 
 def test_cli_ga_mode_reports_evaluation_counts(tmp_path, synth_files, capsys):
     train, test = synth_files
-    result = run_experiment(ga_cfg(synth_files, pop=8, generations=4, target="burst"))
-    assert result.requested == 8 * len(result.history) == 40
-    assert result.requested == result.exact_hits + result.memo_hits + result.fitted
-    assert result.fitted < result.requested and result.split_hits > 0
-    fixed = run_experiment(fixed_cfg(synth_files))
-    assert (fixed.requested, fixed.exact_hits, fixed.memo_hits, fixed.fitted,
-            fixed.split_hits) == (1, 0, 0, 1, 0)
+    search = run_experiment(ga_cfg(synth_files, pop=8, generations=4, target="burst")).search
+    assert search.requested == 8 * len(search.history) == 40
+    assert search.requested == search.exact_hits + search.memo_hits + search.fitted
+    assert search.fitted < search.requested and search.split_hits > 0
+    assert run_experiment(fixed_cfg(synth_files)).search is None
     assert run_cli(
         "--train", train, "--test", test, "--mode", "ga", "--attack", "burst",
         "--pop", 8, "--generations", 4, "--seed", 3, "--out", tmp_path / "out",
     ) == 0
     out = capsys.readouterr().out.splitlines()
     line = ("evaluations requested=40 exact_hits={} memo_hits={} fitted={} split_hits={}"
-            .format(result.exact_hits, result.memo_hits, result.fitted, result.split_hits))
+            .format(search.exact_hits, search.memo_hits, search.fitted, search.split_hits))
     assert line in out
     assert (tmp_path / "out" / "run.log").read_text().splitlines()[-1] == line

@@ -69,9 +69,17 @@ def test_config_validation():
         GAConfig(seed=0, generations=0)
     with pytest.raises(ValueError):
         GAConfig(seed=0, candidate_features=FeatureMask((False,) * N_FEATURES))
-    for seed in (-1, 1.5, "3", None):
-        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
-            GAConfig(seed=seed)
+    with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
+        GAConfig(seed=-1)
+
+
+@pytest.mark.parametrize("name", ["seed", "population_size", "generations", "tournament_size"])
+@pytest.mark.parametrize("value", [2.5, 4.0, "3", None, True, np.int64(4)])
+def test_config_integer_fields_take_only_ints(name, value):
+    # 2.5 generations would run 3 and echo 2.5; 4.0 would fail later, in range()
+    with pytest.raises(ValueError) as err:
+        GAConfig(**{"seed": 1, name: value})
+    assert str(err.value) == f"{name} must be an integer, got {value!r}"
 
 
 def test_benchmark_defaults():
@@ -137,11 +145,16 @@ def test_compute_fitness_does_not_import_numpy_ma():
 # ----------------------------------------------------------- init_population
 
 
+def evaluator(cfg, train, test):
+    """A fresh memo's ``evaluate``: what ``run`` hands init_population and evolve."""
+    return FitnessMemo(train, test, cfg.criterion).evaluate
+
+
 def test_init_population_is_seeded_and_sorted(tiny_sets):
     train, test = tiny_sets
     cfg = GAConfig(seed=42, population_size=12, generations=3)
-    a = init_population(cfg, train, test)
-    b = init_population(cfg, train, test)
+    a = init_population(cfg, evaluator(cfg, train, test))
+    b = init_population(cfg, evaluator(cfg, train, test))
     assert [i.mask.genes for i in a.individuals] == [i.mask.genes for i in b.individuals]
     assert a.individuals == sorted(a.individuals, key=ranking_key)
     assert a.generation == 0
@@ -150,7 +163,7 @@ def test_init_population_is_seeded_and_sorted(tiny_sets):
 def test_init_population_size_and_no_empty_masks(tiny_sets):
     train, test = tiny_sets
     cfg = GAConfig(seed=7, population_size=30, generations=3)
-    pop = init_population(cfg, train, test)
+    pop = init_population(cfg, evaluator(cfg, train, test))
     assert len(pop.individuals) == 30
     assert all(ind.selected_count >= 1 for ind in pop.individuals)
 
@@ -160,7 +173,7 @@ def test_init_population_respects_candidates(tiny_sets):
     candidates = FeatureMask.from_indices(range(8))
     cfg = GAConfig(seed=3, population_size=20, generations=3,
                    candidate_features=candidates)
-    pop = init_population(cfg, train, test)
+    pop = init_population(cfg, evaluator(cfg, train, test))
     allowed = set(candidates.indices())
     for ind in pop.individuals:
         assert set(ind.mask.indices()) <= allowed
@@ -269,10 +282,11 @@ def test_mask_length_survives_all_operators(tiny_sets):
 def test_evolve_keeps_size_and_never_worsens_best(tiny_sets):
     train, test = tiny_sets
     cfg = GAConfig(seed=11, population_size=14, generations=5)
-    pop = init_population(cfg, train, test)
+    evaluate = evaluator(cfg, train, test)
+    pop = init_population(cfg, evaluate)
     for _ in range(4):
         best_before = pop.individuals[0].fitness
-        pop = evolve(pop, cfg, train, test)
+        pop = evolve(pop, cfg, evaluate)
         assert len(pop.individuals) == 14
         assert pop.individuals[0].fitness <= best_before
     assert pop.generation == 4
@@ -281,17 +295,21 @@ def test_evolve_keeps_size_and_never_worsens_best(tiny_sets):
 def test_evolve_is_deterministic(tiny_sets):
     train, test = tiny_sets
     cfg = GAConfig(seed=21, population_size=10, generations=3)
-    a = evolve(init_population(cfg, train, test), cfg, train, test)
-    b = evolve(init_population(cfg, train, test), cfg, train, test)
+    runs = []
+    for _ in range(2):
+        evaluate = evaluator(cfg, train, test)
+        runs.append(evolve(init_population(cfg, evaluate), cfg, evaluate))
+    a, b = runs
     assert [i.mask.genes for i in a.individuals] == [i.mask.genes for i in b.individuals]
 
 
 def test_evolved_individuals_obey_zero_mask_penalty_rule(tiny_sets):
     train, test = tiny_sets
     cfg = GAConfig(seed=2, population_size=10, generations=4, mutation_rate=0.4)
-    pop = init_population(cfg, train, test)
+    evaluate = evaluator(cfg, train, test)
+    pop = init_population(cfg, evaluate)
     for _ in range(3):
-        pop = evolve(pop, cfg, train, test)
+        pop = evolve(pop, cfg, evaluate)
         for ind in pop.individuals:
             assert ind.selected_count >= 1 or ind.fitness == 1.0
 
@@ -402,7 +420,7 @@ def test_memo_serves_leaf_trees_but_never_the_empty_mask(tiny_sets):
     constant = FeatureMask.from_indices([1, 2, 3])  # constant columns: the root is a leaf
     leaf = compute_fitness(constant, train, test)
     assert leaf.used_features == empty and leaf.cm is not None
-    memo = FitnessMemo()
+    memo = FitnessMemo(train, test, "entropy")
     memo.add(leaf)
     assert memo.lookup(empty) is None
     smaller = FeatureMask.from_indices([2])
@@ -444,13 +462,13 @@ def test_memo_serves_masks_between_a_group_and_its_union(request, monkeypatch, s
     assert used == fitted_b.used_features  # one group
     assert used.bitmask & ~x.bitmask == 0 and x.bitmask & ~(a.bitmask | b.bitmask) == 0
     assert x.bitmask & ~a.bitmask and x.bitmask & ~b.bitmask  # in neither mask alone
-    memo = FitnessMemo()
+    memo = FitnessMemo(train, test, "entropy")
     memo.add(fitted_a)
     memo.add(fitted_b)
     fits = []
     real = ga.fit
     monkeypatch.setattr(ga, "fit", lambda *args: fits.append(args) or real(*args))
-    [served] = ga._evaluate([x], train, test, "entropy", memo)
+    [served] = memo.evaluate([x])
     assert fits == [] and (memo.exact_hits, memo.memo_hits) == (0, 1)
     assert_same_evaluation(served, compute_fitness(x, train, test))
     beyond = FeatureMask.from_indices(x.indices() + (outside,))
@@ -463,7 +481,7 @@ def test_memo_counts_a_repeat_of_a_smaller_fitted_mask_as_exact(tiny_sets):
     large = FeatureMask.from_indices([0, 1, 2, 5])
     fitted_small, fitted_large = (compute_fitness(m, train, test) for m in (small, large))
     assert fitted_small.used_features == fitted_large.used_features  # one group
-    memo = FitnessMemo()
+    memo = FitnessMemo(train, test, "entropy")
     memo.add(fitted_small)
     memo.add(fitted_large)
     assert memo.lookup(small) is fitted_small
@@ -477,7 +495,7 @@ def test_memo_keeps_the_empty_mask_apart_from_leaf_trees(tiny_sets):
     empty = compute_fitness(FeatureMask((False,) * N_FEATURES), train, test)
     leaf = compute_fitness(FeatureMask.from_indices([1, 2, 3]), train, test)
     for order in ((empty, leaf), (leaf, empty)):
-        memo = FitnessMemo()
+        memo = FitnessMemo(train, test, "entropy")
         for individual in order:
             memo.add(individual)
         assert memo.lookup(empty.mask) is empty and memo.lookup(leaf.mask) is leaf
@@ -506,7 +524,7 @@ def _mask_sequence(rng, length):
 def test_memo_serves_all_the_subset_oracle_serves(request, target, criterion):
     train, test = request.getfixturevalue(f"synth_{target}")
     fresh = {}
-    memo, oracle = FitnessMemo(), SubsetMemo()
+    memo, oracle = FitnessMemo(train, test, criterion), SubsetMemo()
     fits = {"memo": 0, "oracle": 0}
     for mask in _mask_sequence(np.random.default_rng(13), 160):
         if mask.bitmask not in fresh:
@@ -538,12 +556,30 @@ def test_memo_serves_a_mask_fitted_earlier_in_the_same_batch(tiny_sets, monkeypa
     fits = []
     real = ga.fit
     monkeypatch.setattr(ga, "fit", lambda *args: fits.append(args) or real(*args))
-    memo = FitnessMemo()
-    _, served = ga._evaluate([large, between], train, test, "entropy", memo)
-    assert len(fits) == 1 and (memo.exact_hits, memo.memo_hits) == (0, 1)
+    memo = FitnessMemo(train, test, "entropy")
+    _, served = memo.evaluate([large, between])
+    assert len(fits) == 1 and (memo.exact_hits, memo.memo_hits, memo.fitted) == (0, 1, 1)
     expected = compute_fitness(between, train, test)
     for name in ("mask", "selected_count", "fitness", "cm", "metrics"):
         assert getattr(served, name) == getattr(expected, name), name
+
+
+def test_memo_fits_each_miss_through_the_module_compute_fitness(synth_burst, monkeypatch):
+    # a tracer counts and times fits by replacing gafs.ga.compute_fitness
+    train, test = synth_burst
+    calls = []
+    real = ga.compute_fitness
+    monkeypatch.setattr(ga, "compute_fitness", lambda *args: calls.append(args) or real(*args))
+    memo = FitnessMemo(train, test, "gini")
+    masks = _mask_sequence(np.random.default_rng(5), 40)
+    assert [individual.mask for individual in memo.evaluate(masks)] == masks
+    assert len(calls) == memo.fitted < len(masks)
+    assert memo.exact_hits + memo.memo_hits + memo.fitted == len(masks)
+    assert all(args[3:] == ("gini", memo.table) for args in calls)
+    calls.clear()
+    result = run(GAConfig(seed=2, population_size=8, generations=3, early_stop_fitness=-1.0),
+                 train, test)
+    assert len(calls) == result.fitted < result.requested
 
 
 def test_mask_bitmask_sets_bit_i_for_gene_i():

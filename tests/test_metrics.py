@@ -157,9 +157,7 @@ def test_rates_complement_their_sources(cm):
 def individual(fitness, n_selected, first_gene_on=False):
     genes = [first_gene_on] + [True] * (n_selected - (1 if first_gene_on else 0))
     genes += [False] * (N_FEATURES - len(genes))
-    mask = FeatureMask(tuple(genes[:N_FEATURES]))
-    return EvaluatedIndividual(mask=mask, fitness=fitness,
-                               selected_count=mask.selected_count)
+    return EvaluatedIndividual(mask=FeatureMask(tuple(genes[:N_FEATURES])), fitness=fitness)
 
 
 def ranked(*individuals):
@@ -182,18 +180,14 @@ def test_compare_ties_break_on_feature_count():
 def test_compare_final_tie_breaks_on_gene_string():
     mask_a = FeatureMask.from_bits("0" + "1" + "0" * 39)
     mask_b = FeatureMask.from_bits("1" + "0" * 40)
-    a = EvaluatedIndividual(mask=mask_a, fitness=0.5, selected_count=1)
-    b = EvaluatedIndividual(mask=mask_b, fitness=0.5, selected_count=1)
+    a = EvaluatedIndividual(mask=mask_a, fitness=0.5)
+    b = EvaluatedIndividual(mask=mask_b, fitness=0.5)
     assert ranked(b, a) == [a, b]  # "01..." sorts before "10..."
     assert ranking_key(a) == ranking_key(a)
 
 
 individuals = st.builds(
-    lambda bits, fitness: EvaluatedIndividual(
-        mask=FeatureMask(tuple(bits)),
-        fitness=fitness,
-        selected_count=sum(bits),
-    ),
+    lambda bits, fitness: EvaluatedIndividual(mask=FeatureMask(tuple(bits)), fitness=fitness),
     bits=st.lists(st.booleans(), min_size=N_FEATURES, max_size=N_FEATURES),
     fitness=st.sampled_from([0.0, 0.25, 0.25, 0.5, 1.0]),  # repeats force ties
 )

@@ -210,7 +210,7 @@ _LINE, _LINE_43 = make_line(), make_line(label="pod", difficulty=7)
 
 # (file text, whether parse_file must fall back to the block checker)
 _READER_CASES = {
-    # float() accepts these and np.loadtxt rejects them
+    # float() accepts these and np.loadtxt rejects them; the checker refuses them
     "underscore": (with_field(0, "1_0") + "\n", True),
     "arabic-indic digits": (with_field(4, "\u0661\u0662") + "\n", True),
     "fullwidth digits": (with_field(5, "\uff11\uff12") + "\n", True),
@@ -252,6 +252,7 @@ _READER_CASES = {
     "negative zero count": (with_field(4, "-0") + "\n", True),
     "decimal count": (with_field(0, "3.5") + "\n", True),
     "count past int64": (with_field(4, "99999999999999999999") + "\n", True),
+    # int() accepts it and the int64 read does not; the checker refuses it
     "underscored difficulty": (make_line(difficulty="1_0") + "\n", True),
     # and ones it reads, to the checker's float64
     "signed count": (with_field(22, "+7") + "\n", False),
@@ -280,6 +281,45 @@ def test_c_reader_warns_of_nothing(tmp_path, case):
         warnings.simplefilter("always")
         parse_outcome(path)
     assert [str(warning.message) for warning in caught] == []
+
+
+@pytest.mark.parametrize("value", ["1_0", "0.5_0", "\u0663", " \uff17 "])
+@pytest.mark.parametrize("column", [0, 4, 24])  # duration, src_bytes, serror_rate
+@pytest.mark.parametrize("reader", ["C reader", "block checker"])
+def test_numbers_with_underscores_or_non_ascii_digits_are_refused(tmp_path, value, column,
+                                                                  reader):
+    # float() reads each of these ("1_0" as 10 and "\u0663" as 3); numpy's C read does not
+    path = tmp_path / "case.txt"
+    path.write_text(_LINE + "\n" + with_field(column, value) + "\n", encoding="utf-8")
+    checker = (mock.patch.object(nslkdd, "_load_columns", return_value=None)
+               if reader == "block checker" else contextlib.nullcontext())
+    message = (f"case.txt: line 2: column {FEATURE_NAMES[column]!r}: "
+               f"cannot parse {value!r} as a number")
+    with checker, pytest.raises(ParseError) as err:
+        parse_file(path)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0663"])
+def test_difficulty_with_underscores_or_non_ascii_digits_is_refused(tmp_path, value):
+    path = tmp_path / "case.txt"
+    path.write_text(_LINE_43 + "\n" + make_line(difficulty=value) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        parse_file(path)
+    assert str(err.value) == f"case.txt: line 2: difficulty column {value!r} is not an integer"
+
+
+@pytest.mark.parametrize("reader", ["C reader", "block checker"])
+def test_unicode_space_around_a_number_is_stripped(tmp_path, reader):
+    path = tmp_path / "case.txt"
+    padded = make_line(difficulty="\u2003 3").split(",")
+    padded[0], padded[24] = "\u2003 5", "0.5\u2003"
+    path.write_text(",".join(padded) + "\n", encoding="utf-8")
+    checker = (mock.patch.object(nslkdd, "_load_columns", return_value=None)
+               if reader == "block checker" else contextlib.nullcontext())
+    with checker:
+        raw = parse_file(path)
+    assert (raw.features[0, 0], raw.features[0, 24]) == (5.0, 0.5)
 
 
 # lines that differ in a number, the service and the label, so a block read
@@ -570,7 +610,7 @@ def _nslkdd_lines(symbols, whole=_number,
 
 
 # numbers that float(), and so the row-wise reference, reads but np.loadtxt
-# rejects: a file holding one is parsed by the block checker
+# rejects: a file holding one is parsed by the block checker, which refuses it
 _float_only_number = st.sampled_from(["1_0", "1_000.5", "\u0661\u0662", "\u0663.\u0665",
                                       "\uff11\uff12", "-\uff17"])
 
@@ -600,12 +640,16 @@ def test_columnar_load_matches_rowwise_reference_property(
         path = tmp_path / name
         path.write_bytes((newline.join(lines) + (newline if final_newline else "")).encode())
         paths.append(path)
-    expected = rowwise_load(*paths)
     with mock.patch.object(nslkdd, "_BLOCK_LINES", block_lines), \
             mock.patch.object(nslkdd, "_parse_block", wraps=nslkdd._parse_block) as spy:
-        assert_same_load(expected, columnar_load(*paths))
-    if float_only is not None:
-        assert "train.txt" in {call.args[1] for call in spy.call_args_list}
+        if float_only is None:
+            assert_same_load(rowwise_load(*paths), columnar_load(*paths))
+            return
+        with pytest.raises(ParseError) as err:
+            columnar_load(*paths)
+    assert "train.txt" in {call.args[1] for call in spy.call_args_list}
+    assert str(err.value) == (f"train.txt: line {row + 1}: column {FEATURE_NAMES[column]!r}: "
+                              f"cannot parse {number!r} as a number")
 
 
 @settings(max_examples=40, deadline=None,
