@@ -21,6 +21,7 @@ from .nslkdd import (
     Codebook,
     Dataset,
     FeatureMask,
+    ParseError,
     build_codebook,
     encode,
     parse_file,
@@ -169,9 +170,12 @@ def resolve_target(target: str, known_labels: set[str]) -> frozenset[str]:
 
 
 def _load(train_path: str | Path, test_path: str | Path) -> tuple[Dataset, Dataset, Codebook]:
-    """Encoded training and test sets, and the codebook built from training."""
+    """Encoded sets and the training codebook; a file without records is a ParseError."""
     train_raw = parse_file(train_path, role="training")
     test_raw = parse_file(test_path, role="test")
+    for path, raw in ((train_path, train_raw), (test_path, test_raw)):
+        if not len(raw):
+            raise ParseError(f"{Path(path).name}: no records")
     codebook = build_codebook(train_raw)
     return encode(train_raw, codebook), encode(test_raw, codebook), codebook
 

@@ -1,7 +1,7 @@
 """Seeded genetic search over feature masks, scored by a wrapped decision tree.
 
 Each candidate mask is evaluated by fitting a tree on the mask's training
-columns and validating it on the mask's columns of the test set;
+columns and validating it on the test set;
 fitness is ``1 - f_measure`` (lower is better, 0 is perfect). Survivor
 selection is merge-and-truncate over parents plus children, so the best
 individual can never get worse.
@@ -53,6 +53,10 @@ class GAConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("mutation_rate", "crossover_rate", "early_stop_fitness"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         check_criterion(self.criterion)
@@ -116,18 +120,20 @@ def compute_fitness(
     criterion: str = "entropy",
     table: SplitTable | None = None,
 ) -> EvaluatedIndividual:
-    """Train on the mask's training columns, validate on the masked test set.
+    """Train on the mask's training columns, validate on the test set.
 
-    The tree reads the training columns in place, through ``table`` (its own
-    when None), and predicts on the test matrix in place, through the
-    positions of the mask's columns in it: nothing is projected. The all-zero
-    mask never reaches the classifier: it is assigned the worst possible
-    fitness of 1.0 directly.
+    The two sets must have the same feature columns, in the same order. The
+    tree reads the mask's training columns in place, through ``table`` (its
+    own when None), and predicts on the test matrix in place: nothing is
+    projected. The all-zero mask never reaches the classifier: it is
+    assigned the worst possible fitness of 1.0 directly.
     """
+    if test.feature_names != train.feature_names:
+        raise ValueError("the test set's feature columns differ from the training set's")
     if mask.selected_count == 0:
         return EvaluatedIndividual(mask=mask, fitness=1.0)
     tree = fit(train, criterion, mask_columns(train, mask), table)
-    predictions = predict_batch(tree, test.features, mask_columns(test, mask))
+    predictions = predict_batch(tree, test.features)
     cm = confusion(predictions, test.targets)
     report = metrics(cm)
     # not np.unique, which imports numpy.ma (about 13 ms) on a process's first call
@@ -137,7 +143,7 @@ def compute_fitness(
         fitness=report.fitness,
         metrics=report,
         cm=cm,
-        used_features=FeatureMask.from_names([tree.feature_names[f] for f in used]),
+        used_features=FeatureMask.from_names([train.feature_names[j] for j in used]),
     )
 
 

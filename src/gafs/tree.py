@@ -31,11 +31,10 @@ root, the (column, cut rank, side) of every split above it, whatever other
 columns the tree may use, and so is each column's best split there. The
 table keeps that split as one 28-byte record per (path, column) for the root
 and every node holding at least 1% of the rows, and a fit counts and scores a
-column only at the nodes whose entry is missing. A fit reads entries only for
-paths the table held when it started, since a path it made itself has never
-been searched, so a level whose kept paths are all new reads nothing. Both
-come from the same integer counts through the same expressions, so a tree is
-bit-identical whichever table it grows through.
+column only at the nodes whose entry is missing; a path the running fit
+made has no entries yet, so it reads as unsearched. Both come from the same
+integer counts through the same expressions, so a tree is bit-identical
+whichever table it grows through.
 """
 
 from __future__ import annotations
@@ -70,9 +69,11 @@ _TABLE_MAX_BYTES = 64 << 20
 class DecisionTree:
     """Flat arrays in breadth-first node order; node 0 is the root.
 
-    Leaves have ``feature``/``left``/``right`` -1 and threshold and decrease
-    0.0. ``counts`` is (negatives, positives) of the training samples at each
-    node; ``predicted`` is the majority class, negative on an exact tie.
+    ``feature`` is a column of the matrix the tree was fitted on, which has
+    ``feature_count`` columns. Leaves have ``feature``/``left``/``right`` -1
+    and threshold and decrease 0.0. ``counts`` is (negatives, positives) of
+    the training samples at each node; ``predicted`` is the majority class,
+    negative on an exact tie.
     """
 
     feature: np.ndarray  # (m,) intp
@@ -85,7 +86,6 @@ class DecisionTree:
     criterion: str
     feature_count: int
     depth: int
-    feature_names: tuple[str, ...] = ()
 
     @property
     def node_count(self) -> int:
@@ -300,7 +300,7 @@ def _units(table, columns):
                    int(units.searchsorted(span // 2)), np.zeros(units.size, dtype=np.intp))
 
 
-def _level_splits(table, columns, dead, sample, size, pos, path, born):
+def _level_splits(table, columns, dead, sample, size, pos, path):
     """Best split of every node of one level, from a histogram per column.
 
     ``columns`` (an array) vary on the training set and are searched in
@@ -309,16 +309,15 @@ def _level_splits(table, columns, dead, sample, size, pos, path, born):
     and this level marks each column it counts at every node without finding
     two present ranks at one. ``sample`` holds the level's units; node i
     holds ``size[i]`` rows and ``pos[i]`` positives, and its path id in
-    ``table`` is ``path[i]`` (-1: not kept). Paths with ids from ``born`` on
-    were made by the running fit, so they have no entries yet: only the older
-    ones are read, in one gather, and a column is counted only at the nodes
-    whose entry it lacks. The cells of every counted column are scored in one
-    pass, as (column, node) groups; each group's first-best split joins the
-    entries read, each node takes the highest gain (the lowest column
-    position on a tie), and the counted or dead entries of kept nodes are
-    stored in one scatter. Returns per node the position in ``columns`` of
-    the split column (-1: no candidate) and the split, as a
-    ``SplitTable.ENTRY``.
+    ``table`` is ``path[i]`` (-1: not kept). The kept paths' entries are read
+    in one gather, and a column is counted only at the nodes whose entry it
+    lacks (a path the running fit made has none yet). The cells of every
+    counted column are scored in one pass, as (column, node) groups; each
+    group's first-best split joins the entries read, each node takes the
+    highest gain (the lowest column position on a tie), and the counted or
+    dead entries of kept nodes are stored in one scatter. Returns per node
+    the position in ``columns`` of the split column (-1: no candidate) and
+    the split, as a ``SplitTable.ENTRY``.
     """
     m = size.size
     size_f, pos_f = size.astype(np.float64), pos.astype(np.float64)
@@ -328,9 +327,9 @@ def _level_splits(table, columns, dead, sample, size, pos, path, born):
     level = SplitTable.unsearched(m, columns.size)
     gain = level["gain"]
     known = [0] * columns.size  # nodes with an entry, by column
-    old = ((path >= 0) & (path < born)).nonzero()[0]  # nodes whose path may hold entries
-    if old.size:
-        level[old] = table.entries[path[old][:, None], slots]
+    kept = (path >= 0).nonzero()[0]
+    if kept.size:
+        level[kept] = table.entries[path[kept][:, None], slots]
         known = (~np.isnan(gain)).sum(axis=0).tolist()
         table.hits += sum(known)
     subsets = {}  # the counted nodes' units, by the nodes counted
@@ -405,7 +404,6 @@ def _level_splits(table, columns, dead, sample, size, pos, path, born):
     feature = gain.argmax(axis=1)  # the highest gain, at the lowest column position
     best = level[np.arange(m), feature]
     feature[best["gain"] == -np.inf] = -1
-    kept = (path >= 0).nonzero()[0]
     if kept.size and searched:  # store the columns counted or dead at the kept nodes
         table.entries[path[kept][:, None], slots[searched]] = level[kept[:, None], searched]
     return feature, best
@@ -415,21 +413,20 @@ def fit(train: BinaryLabeledDataset, criterion: str = "entropy",
         columns: list[int] | None = None, table: SplitTable | None = None) -> DecisionTree:
     """Grow a tree on some columns of the training set, a level at a time.
 
-    ``columns`` are positions in ``train.features`` (all of them when None);
-    the tree's feature indices count within them. The fit reads them out of
-    ``table``'s rank table, so no projected copy is built. ``table`` must be
-    made for this training set and criterion: it holds the training context
-    (rank table and row order), serves the split searches earlier fits made
-    and keeps this fit's. Only paths
-    the table held when the fit started can have entries, so a level whose
-    kept paths are all new reads none. Without a table the fit makes its
-    own. Only the columns that vary on the training set are searched, and a
-    column is dropped from the search below a level that found one present
-    rank at every node. When few distinct (ranks, label) units stand for
-    the rows (see ``_units``), the fit counts each unit once, by its weight,
-    instead of each row; every count, and so the tree, is the same. The tree
-    is always grown to purity: a node becomes a leaf only when it is pure or
-    has no candidate split. Same inputs always give an identical tree.
+    ``columns`` are positions in ``train.features`` (all of them when None),
+    in tie-break order, and the tree's ``feature`` holds the column each
+    node splits on. The fit reads them out of ``table``'s rank table, so no
+    projected copy is built. ``table`` must be made for this training set
+    and criterion: it holds the training context (rank table and row
+    order), serves the split searches earlier fits made and keeps this
+    fit's. Without a table the fit makes its own. Only the columns that vary
+    on the training set are searched, and a column is dropped from the
+    search below a level that found one present rank at every node. When
+    few distinct (ranks, label) units stand for the rows (see ``_units``),
+    the fit counts each unit once, by its weight, instead of each row; every
+    count, and so the tree, is the same. The tree is always grown to purity:
+    a node becomes a leaf only when it is pure or has no candidate split.
+    Same inputs always give an identical tree.
     """
     check_criterion(criterion)
     if table is None:
@@ -441,12 +438,10 @@ def fit(train: BinaryLabeledDataset, criterion: str = "entropy",
     if not columns:
         raise ValueError("training data must contain at least one feature column")
     n = table.rows.size
-    born = table.paths  # ids from here on are paths this fit makes
     flat_ranks = table.ranks.reshape(-1)  # column j's rank of row i at j * n + i
-    # the positions of the columns that vary, the only ones a split can use
-    position = (table.slot[columns] >= 0).nonzero()[0]
-    column_of = np.asarray(columns, dtype=np.intp)[position]
-    dead = np.zeros(position.size, dtype=bool)
+    # the columns that vary, the only ones a split can use
+    column_of = np.asarray(columns, dtype=np.intp)[table.slot[columns] >= 0]
+    dead = np.zeros(column_of.size, dtype=bool)
 
     def is_open(size: np.ndarray, pos: np.ndarray) -> np.ndarray:
         return (pos > 0) & (pos < size)  # impure, so it holds at least two rows
@@ -457,7 +452,7 @@ def fit(train: BinaryLabeledDataset, criterion: str = "entropy",
     splits = []
     # the level's open nodes (ids, sizes, positives, path ids in the table)
     # and its units
-    root_open = is_open(*made[0]) & bool(position.size)  # no varying column: a leaf
+    root_open = is_open(*made[0]) & bool(column_of.size)  # no varying column: a leaf
     size, pos = (a[root_open] for a in made[0])
     ids = np.zeros(size.size, dtype=np.intp)
     path = np.zeros(size.size, dtype=np.intp)
@@ -466,17 +461,18 @@ def fit(train: BinaryLabeledDataset, criterion: str = "entropy",
 
     while size.size:
         with np.errstate(over="ignore"):  # an overflowing midpoint is no candidate
-            feature, best = _level_splits(table, column_of, dead, sample, size, pos, path,
-                                          born)
+            feature, best = _level_splits(table, column_of, dead, sample, size, pos, path)
         split = (feature >= 0).nonzero()[0]
         if not split.size:
             break
+        # each node's split column; a node without a split reads the last one
+        column = column_of[feature]
         # the children by (split node, side), numbered breadth-first: by
         # parent id, left before right
         child_id = np.arange(made_count, made_count + 2 * split.size)
         made_count += child_id.size
         won = best[split]
-        splits.append((ids[split], position[feature[split]], won["threshold"], won["gain"],
+        splits.append((ids[split], column[split], won["threshold"], won["gain"],
                        child_id[::2], child_id[1::2]))
         depth += 1
         child_size, child_pos = np.empty((2, child_id.size), dtype=np.int64)
@@ -494,7 +490,7 @@ def fit(train: BinaryLabeledDataset, criterion: str = "entropy",
         keep = (child_open & (path[step] >= 0) & (child_size >= table.floor)).nonzero()[0]
         if keep.size:
             at = step[keep]
-            child_path[keep] = table.child_paths(path[at], column_of[feature[at]],
+            child_path[keep] = table.child_paths(path[at], column[at],
                                                  best["cut"][at], keep % 2)
         path = child_path[order]
         ids, size, pos = child_id[order], child_size[order], child_pos[order]
@@ -506,7 +502,7 @@ def fit(train: BinaryLabeledDataset, criterion: str = "entropy",
         # a unit goes right when its rank in the split column is above the
         # cut; units of a node without a split read any column and drop out
         node = sample.node
-        right = flat_ranks[(column_of[feature] * n)[node] + sample.rows] > best["cut"][node]
+        right = flat_ranks[(column * n)[node] + sample.rows] > best["cut"][node]
         node = child.reshape(-1)[2 * node + right]
         sample = sample._replace(node=node).where(node >= 0)
 
@@ -518,39 +514,30 @@ def fit(train: BinaryLabeledDataset, criterion: str = "entropy",
         parent, *arrays = map(np.concatenate, zip(*splits))
         feature[parent], threshold[parent], decrease[parent], left[parent], right[parent] = arrays
     return DecisionTree(feature, threshold, decrease, left, right, counts,
-                        counts[:, 1] > counts[:, 0], criterion, len(columns), depth,
-                        tuple(train.feature_names[i] for i in columns))
+                        counts[:, 1] > counts[:, 0], criterion, table.slot.size, depth)
 
 
-def predict_batch(tree: DecisionTree, features, columns=None) -> np.ndarray:
+def predict_batch(tree: DecisionTree, features) -> np.ndarray:
     """Classify every row of a feature matrix, a tree level per step; a bool vector.
 
-    ``columns`` are the positions in ``features`` of the tree's features, so
-    a tree fitted on some columns of a matrix reads a matrix of the same
-    layout in place; when None, the matrix holds just the tree's features,
-    in order. A column-major matrix, as ``Dataset.features`` is, is read in
-    place; any other is copied to that layout first.
+    The matrix has the columns of the one the tree was fitted on, in the same
+    order, so a tree fitted on some columns of a matrix reads a matrix of
+    that layout in place. A column-major matrix, as ``Dataset.features`` is,
+    is read in place; any other is copied to that layout first.
     """
     X = np.asfortranarray(features, dtype=np.float64)
-    width = X.shape[1] if X.ndim == 2 else -1
-    if columns is None:
-        if width != tree.feature_count:
-            raise ValueError(f"expected a matrix with {tree.feature_count} columns, "
-                             f"got shape {X.shape}")
-        columns = np.arange(width)
-    columns = np.asarray(columns, dtype=np.intp)
-    if columns.shape != (tree.feature_count,) or not ((0 <= columns) & (columns < width)).all():
-        raise ValueError(f"expected {tree.feature_count} positions of columns of a matrix, "
-                         f"got {columns.tolist()} for shape {X.shape}")
-    flat = X.ravel(order="F")  # a view: row i's column j at i + j * rows
-    offset = columns * X.shape[0]  # of each of the tree's features
-    node = np.zeros(X.shape[0], dtype=np.intp)
-    rows = np.arange(X.shape[0])
+    if X.ndim != 2 or X.shape[1] != tree.feature_count:
+        raise ValueError(f"expected a matrix with {tree.feature_count} columns, "
+                         f"got shape {X.shape}")
+    n = X.shape[0]
+    flat = X.ravel(order="F")  # a view: row i's column j at i + j * n
+    node = np.zeros(n, dtype=np.intp)
+    rows = np.arange(n)
     while rows.size:
         at = node[rows]
         feature = tree.feature[at]
         inner = feature >= 0
         rows, at, feature = rows[inner], at[inner], feature[inner]
-        go_left = flat[rows + offset[feature]] <= tree.threshold[at]
+        go_left = flat[rows + feature * n] <= tree.threshold[at]
         node[rows] = np.where(go_left, tree.left[at], tree.right[at])
     return tree.predicted[node]

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from gafs import experiment
+from gafs import experiment, ga
 from gafs.cli import main
 from gafs.experiment import (
     ExperimentConfig,
@@ -16,7 +16,7 @@ from gafs.experiment import (
 )
 from gafs.ga import GAConfig, compute_fitness
 from gafs.metrics import ConfusionMatrix
-from gafs.nslkdd import DOS_ATTACKS, FEATURE_NAMES, FeatureMask
+from gafs.nslkdd import DOS_ATTACKS, FEATURE_NAMES, FeatureMask, ParseError
 from gafs.reference import ReferenceCase
 
 
@@ -365,6 +365,30 @@ def test_cli_missing_file_fails(tmp_path, capsys):
     code = run_cli("--train", tmp_path / "absent.txt", "--test", tmp_path / "absent.txt",
                    "--mode", "fixed", "--attack", "land", "--features", "land")
     assert code == 1
+
+
+EMPTY_FILE_RUNS = {
+    "fixed": ["--mode", "fixed", "--attack", "flood", "--features", "land,count"],
+    "ga": ["--mode", "ga", "--attack", "flood", "--pop", 4, "--generations", 1],
+    "verify-appendix": ["--verify-appendix"],
+}
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n\t\r\n"], ids=["empty", "blank"])
+@pytest.mark.parametrize("role", ["train", "test"])
+@pytest.mark.parametrize("run", EMPTY_FILE_RUNS)
+def test_empty_input_file_is_refused_by_name_before_any_fit(
+        tmp_path, synth_files, capsys, monkeypatch, run, role, text):
+    fits = []
+    monkeypatch.setattr(ga, "fit", lambda *args: fits.append(args))
+    paths = dict(zip(("train", "test"), synth_files))
+    paths[role] = tmp_path / "records.txt"
+    paths[role].write_text(text)
+    with pytest.raises(ParseError, match=r"^records\.txt: no records$"):
+        experiment._load(paths["train"], paths["test"])
+    code = run_cli("--train", paths["train"], "--test", paths["test"], *EMPTY_FILE_RUNS[run])
+    assert code == 1 and capsys.readouterr().err == "error: records.txt: no records\n"
+    assert fits == []
 
 
 def test_cli_fixed_requires_features(synth_files):

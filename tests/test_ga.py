@@ -22,7 +22,7 @@ from gafs.ga import (
     select_parent,
 )
 from gafs.metrics import ranking_key
-from gafs.nslkdd import N_FEATURES, FeatureMask
+from gafs.nslkdd import N_FEATURES, BinaryLabeledDataset, FeatureMask, project
 
 from conftest import tiny_binary41
 from oracles import SubsetMemo
@@ -82,6 +82,19 @@ def test_config_integer_fields_take_only_ints(name, value):
     assert str(err.value) == f"{name} must be an integer, got {value!r}"
 
 
+@pytest.mark.parametrize("name", ["mutation_rate", "crossover_rate", "early_stop_fitness"])
+@pytest.mark.parametrize("value", [True, False, "0.5", "0", None, np.float32(0.5)])
+def test_config_float_fields_take_only_numbers(name, value):
+    # a bool would be echoed as true or false in result.json, and a string
+    # failed in the range check with TypeError
+    with pytest.raises(ValueError) as err:
+        GAConfig(**{"seed": 1, name: value})
+    assert str(err.value) == f"{name} must be a number, got {value!r}"
+    # ints and Python floats (np.float64 is one) are numbers
+    for number in (0, 1, np.float64(0.5)):
+        assert getattr(GAConfig(**{"seed": 1, name: number}), name) == number
+
+
 def test_benchmark_defaults():
     cfg = GAConfig(seed=1)
     assert cfg.population_size == 100
@@ -115,6 +128,22 @@ def test_separable_target_reaches_zero_fitness(synth_flood):
     out = compute_fitness(FeatureMask.from_names(["wrong_fragment"]), train, test)
     assert out.fitness == 0.0
     assert out.metrics.f_measure == 1.0
+
+
+def test_compute_fitness_refuses_a_test_set_of_another_column_layout(synth_flood):
+    # the tree reads the test matrix in the training matrix's column layout
+    train, test = synth_flood
+    mask = FeatureMask.from_names(["count", "service", "wrong_fragment"])
+    order = np.random.default_rng(2).permutation(len(test.feature_names))
+    reordered = BinaryLabeledDataset(test.features[:, order], test.targets,
+                                     tuple(test.feature_names[j] for j in order))
+    for other in (reordered, project(test, mask)):
+        with pytest.raises(ValueError, match="^the test set's feature columns differ "
+                                             "from the training set's$"):
+            compute_fitness(mask, train, other)
+    # equal names in another tuple are the same layout
+    same = BinaryLabeledDataset(test.features, test.targets, tuple(list(test.feature_names)))
+    assert compute_fitness(mask, train, same) == compute_fitness(mask, train, test)
 
 
 def test_compute_fitness_does_not_import_numpy_ma():

@@ -25,6 +25,26 @@ TREE_ARRAYS = ("feature", "threshold", "impurity_decrease", "left", "right",
                "counts", "predicted")
 
 
+def in_columns(reference, columns):
+    """The arrays of a tree fitted on the projection to ``columns`` (a
+    ``DecisionTree`` or ``bfs_arrays``' dict), as a fit on those columns of
+    the full matrix gives them: each feature, a position in ``columns``, is
+    mapped to its column; leaves stay -1."""
+    arrays = {name: reference[name] if isinstance(reference, dict) else getattr(reference, name)
+              for name in TREE_ARRAYS}
+    feature = arrays["feature"].copy()
+    inner = feature >= 0
+    feature[inner] = np.asarray(columns, dtype=np.intp)[feature[inner]]
+    return {**arrays, "feature": feature}
+
+
+def assert_same_arrays(tree, arrays):
+    """Each of ``tree``'s arrays has the dtype and bytes of ``arrays``'."""
+    for name in TREE_ARRAYS:
+        got, want = getattr(tree, name), arrays[name]
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
 def binary(X, y):
     X = np.asarray(X, dtype=float)
     names = tuple(f"f{i}" for i in range(X.shape[1]))
@@ -294,14 +314,14 @@ def test_fit_matches_pernode_reference_on_synthetic_traffic(request, target, k):
     chosen = np.random.default_rng(k).choice(len(train.feature_names), k, replace=False)
     mask = FeatureMask.from_indices(chosen.tolist())
     projected = project(train, mask)
+    columns = mask_columns(train, mask)
     for criterion in CRITERIA:
         tree = assert_same_tree(projected, criterion)
         # the mask's columns read in place, out of the sort of all 41
-        in_place = fit(train, criterion, mask_columns(train, mask))
-        for name in TREE_ARRAYS:
-            assert getattr(in_place, name).tobytes() == getattr(tree, name).tobytes(), name
-        assert in_place.feature_names == projected.feature_names
-        assert (in_place.feature_count, in_place.depth) == (k, tree.depth)
+        in_place = fit(train, criterion, columns)
+        assert_same_arrays(in_place, in_columns(tree, columns))
+        assert (tree.feature_count, in_place.feature_count) == (k, 41)
+        assert in_place.depth == tree.depth
 
 
 tied_instances = st.tuples(
@@ -535,13 +555,11 @@ def test_unit_growth_matches_pernode_reference_on_few_column_masks(request, targ
         projected = project(train, mask)
         for criterion in CRITERIA:
             tree = assert_same_tree(projected, criterion, dense_bounds=(None, 0, np.inf))
-            in_place = fit(train, criterion, mask_columns(train, mask))
-            for name in TREE_ARRAYS:
-                assert getattr(in_place, name).tobytes() == getattr(tree, name).tobytes(), name
+            in_train = mask_columns(train, mask)
+            arrays = in_columns(tree, in_train)
+            assert_same_arrays(fit(train, criterion, in_train), arrays)
             with mock.patch.multiple(tree_module, **NO_UNITS):
-                by_rows = fit(train, criterion, mask_columns(train, mask))
-            for name in TREE_ARRAYS:
-                assert getattr(by_rows, name).tobytes() == getattr(tree, name).tobytes(), name
+                assert_same_arrays(fit(train, criterion, in_train), arrays)
 
 
 def test_units_stand_for_every_row_once(synth_burst):
@@ -609,10 +627,8 @@ def test_masks_whose_unit_key_would_overflow_int64_grow_by_rows(monkeypatch):
                 for columns in (list(range(24)), [0, 1]):
                     projected = binary(X[:, columns], y)
                     assert_same_tree(projected, criterion)
-                    wide = fit(data, criterion, columns)
-                    for name in TREE_ARRAYS:
-                        assert getattr(wide, name).tobytes() == \
-                            getattr(fit(projected, criterion), name).tobytes(), name
+                    assert_same_arrays(fit(data, criterion, columns),
+                                       in_columns(fit(projected, criterion), columns))
             assert 24 in keys and 2 in keys
 
 
@@ -626,9 +642,9 @@ def test_a_column_without_two_ranks_at_any_node_is_not_counted_again():
     levels = []  # per level: its node count, then the cells of each histogram
     real_level, real_histogram = tree_module._level_splits, tree_module._histogram
 
-    def level(table, columns, dead, sample, size, pos, path, born):
+    def level(table, columns, dead, sample, size, pos, path):
         levels.append([size.size])
-        return real_level(table, columns, dead, sample, size, pos, path, born)
+        return real_level(table, columns, dead, sample, size, pos, path)
 
     def histogram(key, positives, cells, *rest):
         levels[-1].append(cells)
@@ -698,12 +714,11 @@ def assert_same_through_table(data, criterion, column_sets, extreme=False, min_s
                                          tuple(data.feature_names[j] for j in columns))
         with np.errstate(over="ignore") if extreme else contextlib.nullcontext():
             reference = pernode_fit(projected, criterion)
-        arrays = bfs_arrays(reference.root)
-        for name in TREE_ARRAYS:
-            want = arrays[name].tobytes()
-            assert getattr(got, name).tobytes() == getattr(alone, name).tobytes() == want, name
-        assert (got.node_count, got.depth, got.feature_names) == \
-            (alone.node_count, alone.depth, alone.feature_names)
+        arrays = in_columns(bfs_arrays(reference.root), columns)
+        assert_same_arrays(got, arrays)
+        assert_same_arrays(alone, arrays)
+        assert (got.node_count, got.depth, got.feature_count) == \
+            (alone.node_count, alone.depth, alone.feature_count)
         assert (got.node_count, got.depth) == (reference.node_count, reference.depth)
     return table
 
@@ -816,7 +831,7 @@ def test_predict_batch_reads_every_matrix_layout(synth_burst):
     train, test = synth_burst
     columns = list(range(0, len(train.feature_names), 3))
     tree = fit(train, "gini", columns)
-    X = test.features[:, columns]  # a projection is column-major
+    X = test.features
     assert X.flags.f_contiguous and not X.flags.c_contiguous
     want = [predict(tree, r) for r in X]
     for matrix, expected in ((X, want), (np.ascontiguousarray(X), want),
@@ -952,8 +967,7 @@ def test_worker_threads_share_one_rank_table(synth_encoded, monkeypatch):
     assert calls == [id(fresh.features)]
     for mask, tree in zip(masks, trees):
         alone = fit(project(burst, mask), "gini")
-        for name in TREE_ARRAYS:
-            assert getattr(tree, name).tobytes() == getattr(alone, name).tobytes(), name
+        assert_same_arrays(tree, in_columns(alone, mask_columns(burst, mask)))
     assert len(calls) == 1 + len(masks)  # each projection has a rank table of its own
 
 
@@ -979,7 +993,7 @@ def test_table_searches_the_root_once(synth_encoded, monkeypatch):
                 assert getattr(tree, name).tobytes() == getattr(alone, name).tobytes(), name
 
 
-def test_table_entries_are_read_only_for_paths_older_than_the_fit(synth_burst, monkeypatch):
+def test_table_entries_serve_a_refit_at_every_level_with_a_kept_path(synth_burst, monkeypatch):
     train, _ = synth_burst
     columns = list(range(0, len(train.feature_names), 2))
     levels = []  # per level: [whether a node has a kept path, indexed entry reads]
@@ -1000,9 +1014,9 @@ def test_table_entries_are_read_only_for_paths_older_than_the_fit(synth_burst, m
 
     real_level = tree_module._level_splits
 
-    def level(table, columns, dead, sample, size, pos, path, born):
+    def level(table, columns, dead, sample, size, pos, path):
         levels.append([bool((path >= 0).any()), 0])
-        return real_level(table, columns, dead, sample, size, pos, path, born)
+        return real_level(table, columns, dead, sample, size, pos, path)
 
     monkeypatch.setattr(tree_module, "_level_splits", level)
     projected = project(train, FeatureMask.from_indices(columns))
@@ -1010,20 +1024,16 @@ def test_table_entries_are_read_only_for_paths_older_than_the_fit(synth_burst, m
         table = SpiedTable(train, criterion)
         levels.clear()
         first = fit(train, criterion, columns, table)
-        # every path below the root is made by this fit, so only the root reads
         assert first.depth >= 5 and sum(kept for kept, _ in levels[1:]) >= 3
         assert levels[0][0] and levels[0][1] > 0
-        assert [reads for _, reads in levels[1:]] == [0] * (len(levels) - 1)
         levels.clear()
         second = fit(train, criterion, columns, table)
         # the refit finds every kept path made, so each level with one reads
         assert [reads > 0 for _, reads in levels] == [kept for kept, _ in levels]
         alone = fit(train, criterion, columns)
-        arrays = bfs_arrays(pernode_fit(projected, criterion).root)
-        for tree in (first, second):
-            for name in TREE_ARRAYS:
-                assert getattr(tree, name).tobytes() == getattr(alone, name).tobytes() \
-                    == arrays[name].tobytes(), name
+        arrays = in_columns(bfs_arrays(pernode_fit(projected, criterion).root), columns)
+        for tree in (first, second, alone):
+            assert_same_arrays(tree, arrays)
 
 
 def test_one_pass_scores_each_level(synth_burst, monkeypatch):
@@ -1060,8 +1070,10 @@ def test_compute_fitness_projects_nothing(synth_flood, monkeypatch):
     for names in (["count"], ["duration", "service", "src_bytes", "count"]):
         mask = FeatureMask.from_names(names)
         compute_fitness(mask, train, test)
-        (tree, features, _), predictions = calls[-1]
+        (tree, features), predictions = calls[-1]
         assert features is test.features
-        expected = real_predict(tree, real_project(test, mask).features)
+        # the tree of the mask's projection, predicting on the test projection
+        alone = fit(real_project(train, mask), "entropy")
+        expected = real_predict(alone, real_project(test, mask).features)
         assert np.array_equal(predictions, expected)
     assert len(calls) == 2 and projected == []
