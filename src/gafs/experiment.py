@@ -10,7 +10,9 @@ byte-stable for identical inputs and seeds.
 from __future__ import annotations
 
 import json
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -269,28 +271,41 @@ def verify_appendix(
     test_path: str | Path,
     cases: tuple[ReferenceCase, ...] = REFERENCE_CASES,
 ) -> list[VerificationRow]:
-    """Re-evaluate every bundled reference feature set on local data."""
+    """Re-evaluate every bundled reference feature set on local data.
+
+    Every case's target, criterion and features are checked before the first
+    fit. The cases of one target and criterion form a chain: one split table,
+    its cases fitted in case order. Chains share nothing but the relabelled
+    sets, so they run on threads, at most one per usable CPU; the rows come
+    back in case order and equal a serial run's.
+    """
     train, test, _ = _load(train_path, test_path)
     labels = {*train.labels.values, *test.labels.values}
-    # each target's sets are relabelled once and serve all its cases; the
-    # cases of one target and criterion also share one split table
-    relabelled: dict[frozenset[str], tuple] = {}
-    tables: dict[tuple[frozenset[str], str], SplitTable] = {}
-
-    rows: list[VerificationRow] = []
-    for case in cases:
+    chains: dict[tuple[frozenset[str], str], list[int]] = {}  # (target, criterion) -> cases
+    masks = []
+    for i, case in enumerate(cases):
         attacks = resolve_target(case.target, labels)
-        if attacks not in relabelled:
-            relabelled[attacks] = relabel(train, attacks), relabel(test, attacks)
+        check_criterion(case.criterion)
+        masks.append(FeatureMask.from_names(case.features))
+        chains.setdefault((attacks, case.criterion), []).append(i)
+    # each target's sets are relabelled once and serve all its chains
+    relabelled = {attacks: (relabel(train, attacks), relabel(test, attacks))
+                  for attacks in dict.fromkeys(attacks for attacks, _ in chains)}
+
+    def fit_chain(chain):
+        (attacks, criterion), indices = chain
         train_binary, test_binary = relabelled[attacks]
-        key = attacks, case.criterion
-        if key not in tables:
-            tables[key] = SplitTable(train_binary, case.criterion)
-        individual = compute_fitness(FeatureMask.from_names(case.features), train_binary,
-                                     test_binary, case.criterion, tables[key])
-        rows.append(VerificationRow(case=case, cm=individual.cm,
-                                    report=individual.metrics))
-    return rows
+        table = SplitTable(train_binary, criterion)  # used by this thread alone
+        return [compute_fitness(masks[i], train_binary, test_binary, criterion, table)
+                for i in indices]
+
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    fitted = {}
+    with ThreadPoolExecutor(max(1, min(len(chains), usable or 1))) as pool:
+        for indices, individuals in zip(chains.values(), pool.map(fit_chain, chains.items())):
+            fitted.update(zip(indices, individuals))
+    return [VerificationRow(case=case, cm=fitted[i].cm, report=fitted[i].metrics)
+            for i, case in enumerate(cases)]
 
 
 def format_verification(rows: list[VerificationRow]) -> str:

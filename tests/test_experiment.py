@@ -1,5 +1,9 @@
 import dataclasses
+import itertools
 import json
+import os
+import sys
+import threading
 
 import pytest
 
@@ -16,7 +20,7 @@ from gafs.experiment import (
 )
 from gafs.ga import GAConfig, compute_fitness
 from gafs.metrics import ConfusionMatrix
-from gafs.nslkdd import DOS_ATTACKS, FEATURE_NAMES, FeatureMask, ParseError
+from gafs.nslkdd import DOS_ATTACKS, FEATURE_NAMES, FeatureMask, ParseError, relabel
 from gafs.reference import ReferenceCase
 
 
@@ -264,16 +268,36 @@ def test_verify_appendix_mechanics_on_synth(synth_files):
         assert row.cm.tp + row.cm.fn == 0
 
 
-def test_verify_appendix_relabels_each_target_once(synth_files, monkeypatch):
-    train_path, test_path = synth_files
-    names = (("protocol_type", "count"), ("service", "src_bytes", "count", "flag"),
-             tuple(FEATURE_NAMES))
-    cases = tuple(
+CHAIN_FEATURES = (("protocol_type", "count"), ("service", "src_bytes", "count", "flag"),
+                  tuple(FEATURE_NAMES))
+
+
+def chain_cases():
+    """Each of ``CHAIN_FEATURES`` under {flood, burst} x {entropy, gini}: four
+    chains of one target and criterion, interleaved in case order."""
+    return tuple(
         ReferenceCase(name=f"{target}/{criterion}/k{len(features)}", target=target,
                       criterion=criterion, features=features,
                       expected_cm=ConfusionMatrix(tp=0, fn=0, fp=0, tn=0))
-        for features in names for target in ("flood", "burst") for criterion in ("entropy", "gini")
+        for features in CHAIN_FEATURES
+        for target in ("flood", "burst") for criterion in ("entropy", "gini")
     )
+
+
+def assert_rows_as_fitted_alone(rows, cases, train_path, test_path):
+    """Each row as its case ran with sets relabelled for it alone."""
+    train, test, _ = experiment._load(train_path, test_path)
+    assert len(rows) == len(cases)
+    for row, case in zip(rows, cases):
+        attacks = {case.target}
+        fresh = compute_fitness(FeatureMask.from_names(case.features), relabel(train, attacks),
+                                relabel(test, attacks), case.criterion)
+        assert row.case is case and row.cm == fresh.cm and row.report == fresh.metrics
+
+
+def test_verify_appendix_relabels_each_target_once(synth_files, monkeypatch):
+    train_path, test_path = synth_files
+    cases = chain_cases()
     calls, tables = [], []
     real = experiment.relabel
     monkeypatch.setattr(experiment, "relabel",
@@ -285,13 +309,78 @@ def test_verify_appendix_relabels_each_target_once(synth_files, monkeypatch):
     assert len(rows) == 12 and len(calls) == 4
     # one split table per target and criterion
     assert len(tables) == 4 and set(tables) == {("entropy",), ("gini",)}
-    # each case as it ran with sets relabelled for it alone
-    train, test, _ = experiment._load(train_path, test_path)
-    for row, case in zip(rows, cases):
-        attacks = {case.target}
-        fresh = compute_fitness(FeatureMask.from_names(case.features), real(train, attacks),
-                                real(test, attacks), case.criterion)
-        assert row.case is case and row.cm == fresh.cm and row.report == fresh.metrics
+    assert_rows_as_fitted_alone(rows, cases, train_path, test_path)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_verify_appendix_fits_each_chain_on_one_thread_in_case_order(
+        synth_files, monkeypatch, workers):
+    train_path, test_path = synth_files
+    cases = chain_cases()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+    seen = []  # (thread, table, mask) per fit
+    real = experiment.compute_fitness
+
+    def spy(mask, train, test, criterion, table):
+        assert table.train is train and table.criterion == criterion
+        seen.append((threading.get_ident(), table, mask))
+        return real(mask, train, test, criterion, table)
+
+    monkeypatch.setattr(experiment, "compute_fitness", spy)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rows = verify_appendix(train_path, test_path, cases)
+    finally:
+        sys.setswitchinterval(interval)
+    assert_rows_as_fitted_alone(rows, cases, train_path, test_path)
+    assert len(seen) == len(cases) and len({thread for thread, _, _ in seen}) <= workers
+    fits_of = {}
+    for thread, table, mask in seen:
+        fits_of.setdefault(table, []).append((thread, mask))
+    # one table per target and criterion, used by one thread, its cases in order
+    assert len({(id(table.train), table.criterion) for table in fits_of}) == len(fits_of) == 4
+    in_order = [FeatureMask.from_names(names) for names in CHAIN_FEATURES]
+    for fits in fits_of.values():
+        assert len({thread for thread, _ in fits}) == 1
+        assert [mask for _, mask in fits] == in_order
+
+
+def test_verify_appendix_of_no_cases_is_empty(synth_files):
+    assert verify_appendix(*synth_files, ()) == []
+
+
+def test_verify_appendix_raises_an_error_of_one_chain(synth_files, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    real = experiment.compute_fitness
+    gini_k41 = itertools.count()  # next() is atomic: only the first such fit fails
+
+    def failing(mask, train, test, criterion, table):
+        if (criterion == "gini" and mask.selected_count == len(FEATURE_NAMES)
+                and next(gini_k41) == 0):
+            raise RuntimeError("a gini fit failed")
+        return real(mask, train, test, criterion, table)
+
+    monkeypatch.setattr(experiment, "compute_fitness", failing)
+    with pytest.raises(RuntimeError, match="a gini fit failed"):
+        verify_appendix(*synth_files, chain_cases())
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"target": "no-such-attack"}, "unknown attack name"),
+    ({"features": ("count", "no_such_feature")}, "unknown feature name"),
+    ({"criterion": "no-such-criterion"}, "criterion must be one of"),
+])
+def test_verify_appendix_checks_every_case_before_the_first_fit(
+        synth_files, monkeypatch, bad, message):
+    cases = chain_cases()
+    cases += (dataclasses.replace(cases[-1], **bad),)
+    fits = []
+    real = ga.fit
+    monkeypatch.setattr(ga, "fit", lambda *a: fits.append(1) or real(*a))
+    with pytest.raises(ValueError, match=message):
+        verify_appendix(*synth_files, cases)
+    assert fits == []
 
 
 # ------------------------------------------------------------------------ CLI

@@ -1,6 +1,7 @@
 import contextlib
 import gc
 import sys
+import threading
 import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -969,6 +970,34 @@ def test_worker_threads_share_one_rank_table(synth_encoded, monkeypatch):
         alone = fit(project(burst, mask), "gini")
         assert_same_arrays(tree, in_columns(alone, mask_columns(burst, mask)))
     assert len(calls) == 1 + len(masks)  # each projection has a rank table of its own
+
+
+def test_fits_on_two_threads_keep_their_own_overflow_state():
+    # fit ignores an overflowing midpoint under np.errstate; were numpy's error
+    # state shared by threads, one fit's exit would restore the "raise" set
+    # below while the other thread computes midpoints that overflow to inf
+    values = np.array(EXTREME_VALUES * 2)
+    data = binary(np.column_stack([values, values[::-1], -values]),
+                  np.arange(values.size) % 3 == 0)
+    serial = {criterion: fit(data, criterion) for criterion in CRITERIA}
+    start = threading.Barrier(len(CRITERIA))
+
+    def fit_often(criterion):
+        start.wait(timeout=60)
+        with np.errstate(over="raise"):
+            return [fit(data, criterion) for _ in range(100)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(CRITERIA)) as pool:
+            threaded = dict(zip(CRITERIA, pool.map(fit_often, CRITERIA)))
+    finally:
+        sys.setswitchinterval(interval)
+    for criterion, trees in threaded.items():
+        arrays = {name: getattr(serial[criterion], name) for name in TREE_ARRAYS}
+        for tree in trees:
+            assert_same_arrays(tree, arrays)
 
 
 def test_table_searches_the_root_once(synth_encoded, monkeypatch):
