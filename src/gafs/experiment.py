@@ -48,6 +48,9 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         check_criterion(self.criterion)
+        if isinstance(self.fixed_features, str):
+            raise ValueError(f"fixed_features must be a collection of feature names, "
+                             f"got the str {self.fixed_features!r}")
         if self.mode not in ("ga", "fixed"):
             raise ValueError(f"mode must be 'ga' or 'fixed', got {self.mode!r}")
         if self.mode == "fixed":
@@ -274,10 +277,11 @@ def verify_appendix(
     """Re-evaluate every bundled reference feature set on local data.
 
     Every case's target, criterion and features are checked before the first
-    fit. The cases of one target and criterion form a chain: one split table,
-    its cases fitted in case order. Chains share nothing but the relabelled
-    sets, so they run on threads, at most one per usable CPU; the rows come
-    back in case order and equal a serial run's.
+    fit, and a case without features is refused. The cases of one target and
+    criterion form a chain: one split table, its cases fitted in case order.
+    Chains share nothing but the relabelled sets, so they run on threads, at
+    most one per usable CPU; the rows come back in case order and equal a
+    serial run's.
     """
     train, test, _ = _load(train_path, test_path)
     labels = {*train.labels.values, *test.labels.values}
@@ -287,6 +291,8 @@ def verify_appendix(
         attacks = resolve_target(case.target, labels)
         check_criterion(case.criterion)
         masks.append(FeatureMask.from_names(case.features))
+        if not masks[-1].selected_count:
+            raise ValueError(f"case {case.name!r} selects no features")
         chains.setdefault((attacks, case.criterion), []).append(i)
     # each target's sets are relabelled once and serve all its chains
     relabelled = {attacks: (relabel(train, attacks), relabel(test, attacks))

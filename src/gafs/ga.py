@@ -25,9 +25,7 @@ import numpy as np
 
 from .metrics import ConfusionMatrix, MetricsReport, confusion, metrics, ranking_key
 # project is not called here, but the benchmark's tracer wraps gafs.ga.project
-from .nslkdd import (  # noqa: F401
-    N_FEATURES, BinaryLabeledDataset, FeatureMask, mask_columns, project,
-)
+from .nslkdd import N_FEATURES, BinaryLabeledDataset, FeatureMask, project  # noqa: F401
 from .tree import SplitTable, check_criterion, fit, predict_batch
 
 Tracer = Callable[[int, "EvaluatedIndividual"], None]
@@ -72,7 +70,11 @@ class GAConfig:
             raise ValueError("tournament_size must be at least 2")
         if not np.isfinite(self.early_stop_fitness):
             raise ValueError(f"early_stop_fitness must be finite, got {self.early_stop_fitness}")
-        if self.candidate_features is not None and self.candidate_features.selected_count == 0:
+        candidates = self.candidate_features
+        if candidates is not None and not isinstance(candidates, FeatureMask):
+            raise ValueError(f"candidate_features must be a FeatureMask or None, "
+                             f"got {candidates!r}")
+        if candidates is not None and candidates.selected_count == 0:
             raise ValueError("candidate_features must allow at least one gene")
 
 
@@ -122,17 +124,20 @@ def compute_fitness(
 ) -> EvaluatedIndividual:
     """Train on the mask's training columns, validate on the test set.
 
-    The two sets must have the same feature columns, in the same order. The
-    tree reads the mask's training columns in place, through ``table`` (its
-    own when None), and predicts on the test matrix in place: nothing is
-    projected. The all-zero mask never reaches the classifier: it is
+    Both sets hold the 41 features, column j being feature j, so gene j of
+    the mask, column j of either matrix and a tree ``feature`` of j are one
+    feature. The tree reads the mask's training columns in place, through
+    ``table`` (its own when None), and predicts on the test matrix in place:
+    nothing is projected. ``used_features`` is the mask of the columns the
+    tree splits on. The all-zero mask never reaches the classifier: it is
     assigned the worst possible fitness of 1.0 directly.
     """
-    if test.feature_names != train.feature_names:
-        raise ValueError("the test set's feature columns differ from the training set's")
+    if np.shape(train.features)[1:] != (N_FEATURES,):
+        raise ValueError(f"the training set must hold the {N_FEATURES} feature columns, "
+                         f"got shape {np.shape(train.features)}")
     if mask.selected_count == 0:
         return EvaluatedIndividual(mask=mask, fitness=1.0)
-    tree = fit(train, criterion, mask_columns(train, mask), table)
+    tree = fit(train, criterion, list(mask.indices()), table)
     predictions = predict_batch(tree, test.features)
     cm = confusion(predictions, test.targets)
     report = metrics(cm)
@@ -143,7 +148,7 @@ def compute_fitness(
         fitness=report.fitness,
         metrics=report,
         cm=cm,
-        used_features=FeatureMask.from_names([train.feature_names[j] for j in used]),
+        used_features=FeatureMask.from_indices(used.tolist()),
     )
 
 

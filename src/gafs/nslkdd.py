@@ -21,6 +21,8 @@ place, and ``relabel`` marks the distinct labels and takes the targets
 likewise, so the matrix the parse wrote is the one the trees read. An
 encoded set's rank table (``ColumnRanks``), which the trees read column by
 column, is made by the first fit on it and shared with its relabels.
+Column j of every set is feature j (``FEATURE_NAMES[j]``), so gene j of a
+``FeatureMask`` is column j too: no name lookup maps one to the other.
 ``project`` copies a set's mask columns; the pipeline reads the columns in
 place instead.
 """
@@ -104,10 +106,6 @@ DOS_ATTACKS: frozenset[str] = frozenset(
 
 class ParseError(ValueError):
     """Malformed NSL-KDD input (bad column count, empty field, bad number)."""
-
-
-class DegenerateMaskError(ValueError):
-    """A feature mask that selects no columns of the dataset it is applied to."""
 
 
 def report_alias(name: str) -> str:
@@ -334,7 +332,6 @@ class Dataset:
 
     features: np.ndarray  # (n, 41) float64, column-major
     labels: Categories
-    feature_names: tuple[str, ...] = FEATURE_NAMES
     ranks: ColumnRanks = field(default_factory=ColumnRanks, repr=False, compare=False)
 
     def __len__(self) -> int:
@@ -347,7 +344,6 @@ class BinaryLabeledDataset:
 
     features: np.ndarray  # (n, k) float64
     targets: np.ndarray  # (n,) bool
-    feature_names: tuple[str, ...]
     # shared with the Dataset this was relabeled from; fresh for a projection
     ranks: ColumnRanks = field(default_factory=ColumnRanks, repr=False, compare=False)
 
@@ -596,36 +592,21 @@ def relabel(data: Dataset, target_attacks) -> BinaryLabeledDataset:
 
     Other attacks, normal traffic and attack names unseen in training all
     count as negative. Matching is case-insensitive and whitespace-trimmed.
+    ``target_attacks`` is a collection of names; a bare str is refused.
     """
+    if isinstance(target_attacks, str):
+        raise ValueError(f"target_attacks must be a collection of attack names, "
+                         f"got the str {target_attacks!r}")
     wanted = frozenset(name.strip().lower() for name in target_attacks)
     if not wanted or not any(wanted):
         raise ValueError("target attack set is empty: no positive class to learn")
     labels = data.labels
     positive = np.array([label.strip().lower() in wanted for label in labels.values], dtype=bool)
-    return BinaryLabeledDataset(
-        features=data.features,
-        targets=positive[labels.codes],
-        feature_names=data.feature_names,
-        ranks=data.ranks,
-    )
-
-
-def mask_columns(data: BinaryLabeledDataset, mask: FeatureMask) -> list[int]:
-    """Positions of the mask's columns in ``data``, in canonical order."""
-    if mask.selected_count == 0:
-        raise DegenerateMaskError("mask selects no features")
-    wanted = set(mask.selected_names())
-    keep = [i for i, name in enumerate(data.feature_names) if name in wanted]
-    if not keep:
-        raise DegenerateMaskError("mask selects no columns present in this dataset")
-    return keep
+    return BinaryLabeledDataset(data.features, positive[labels.codes], data.ranks)
 
 
 def project(data: BinaryLabeledDataset, mask: FeatureMask) -> BinaryLabeledDataset:
-    """Restrict the dataset to the mask's columns, preserving canonical order."""
-    keep = mask_columns(data, mask)
-    return BinaryLabeledDataset(
-        features=data.features[:, keep],
-        targets=data.targets,
-        feature_names=tuple(data.feature_names[i] for i in keep),
-    )
+    """A copy of the mask's columns of a 41-column set, in column order."""
+    if mask.selected_count == 0:
+        raise ValueError("mask selects no features")
+    return BinaryLabeledDataset(features=data.features[:, mask.indices()], targets=data.targets)

@@ -99,8 +99,7 @@ def tiny_binary(n=80, k=5, seed=3, noise=0.0) -> BinaryLabeledDataset:
     if noise:
         flip = rng.random(n) < noise
         y = y ^ flip
-    names = tuple(f"f{i}" for i in range(k))
-    return BinaryLabeledDataset(X, y, names)
+    return BinaryLabeledDataset(X, y)
 
 
 def tiny_binary41(n=80, seed=3, noise=0.1) -> BinaryLabeledDataset:
@@ -116,7 +115,7 @@ def tiny_binary41(n=80, seed=3, noise=0.1) -> BinaryLabeledDataset:
     y = X[:, 0] >= 3.0
     if noise:
         y = y ^ (rng.random(n) < noise)
-    return BinaryLabeledDataset(X, y, FEATURE_NAMES)
+    return BinaryLabeledDataset(X, y)
 
 
 @pytest.fixture

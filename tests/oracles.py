@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -162,7 +162,6 @@ class PerNodeTree:
     feature_count: int
     depth: int = 0
     node_count: int = 0
-    feature_names: tuple[str, ...] = field(default=())
 
 
 def _plog2p(p: np.ndarray) -> np.ndarray:
@@ -283,7 +282,6 @@ def pernode_fit(train, criterion: str = "entropy") -> "PerNodeTree":
         feature_count=X.shape[1],
         depth=max_depth_seen,
         node_count=node_count,
-        feature_names=tuple(train.feature_names),
     )
 
 

@@ -259,7 +259,7 @@ def test_criterion_5_property_suites(synth_flood):
     for trial in range(5):
         noisy = test_f.features.copy()
         noisy[:, masked_out] = rng.random((len(test_f), len(masked_out))) * 1e9
-        perturbed = BinaryLabeledDataset(noisy, test_f.targets, test_f.feature_names)
+        perturbed = BinaryLabeledDataset(noisy, test_f.targets)
         if not np.array_equal(
             predict_batch(tree, project(perturbed, mask).features), baseline
         ):
@@ -272,7 +272,7 @@ def test_criterion_5_property_suites(synth_flood):
         X = rng.integers(0, 4, size=(n, k)).astype(float)
         y = [bool(v) for v in rng.integers(0, 2, size=n)]
         criterion = "entropy" if trial % 2 else "gini"
-        tree = fit(BinaryLabeledDataset(X, np.array(y), ("",) * k), criterion)
+        tree = fit(BinaryLabeledDataset(X, np.array(y)), criterion)
         feature, threshold = tree.feature[0], tree.threshold[0]
         oracle = brute_force_splits(X, y, criterion)
         pos = sum(y)

@@ -169,6 +169,16 @@ def test_unknown_fixed_feature_rejected_before_any_file_is_read(tmp_path):
     assert cfg.fixed_mask().selected_names() == ("land", "count")
 
 
+def test_fixed_features_as_a_bare_str_rejected_before_any_file_is_read(tmp_path):
+    # iterating "land" gives its letters, which name no feature
+    absent = tmp_path / "absent.txt"
+    for mode, ga_config in (("fixed", None), ("ga", GAConfig(seed=1))):
+        with pytest.raises(ValueError, match="^fixed_features must be a collection of "
+                                             "feature names, got the str 'land'$"):
+            ExperimentConfig(train_path=absent, test_path=absent, mode=mode, target="land",
+                             fixed_features="land", ga=ga_config)
+
+
 # --------------------------------------------------------------- emit_reports
 
 
@@ -370,6 +380,8 @@ def test_verify_appendix_raises_an_error_of_one_chain(synth_files, monkeypatch):
     ({"target": "no-such-attack"}, "unknown attack name"),
     ({"features": ("count", "no_such_feature")}, "unknown feature name"),
     ({"criterion": "no-such-criterion"}, "criterion must be one of"),
+    # a case without features has no tree, so no confusion matrix to format
+    ({"name": "burst/gini/k0", "features": ()}, "^case 'burst/gini/k0' selects no features$"),
 ])
 def test_verify_appendix_checks_every_case_before_the_first_fit(
         synth_files, monkeypatch, bad, message):

@@ -1,11 +1,14 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gafs import ga
 from gafs.ga import (
@@ -22,7 +25,8 @@ from gafs.ga import (
     select_parent,
 )
 from gafs.metrics import ranking_key
-from gafs.nslkdd import N_FEATURES, BinaryLabeledDataset, FeatureMask, project
+from gafs.nslkdd import N_FEATURES, FeatureMask, project
+from gafs.tree import fit
 
 from conftest import tiny_binary41
 from oracles import SubsetMemo
@@ -95,6 +99,14 @@ def test_config_float_fields_take_only_numbers(name, value):
         assert getattr(GAConfig(**{"seed": 1, name: number}), name) == number
 
 
+@pytest.mark.parametrize("value", [[0, 1], (True,) * N_FEATURES, "1" * N_FEATURES, 5])
+def test_config_candidate_features_take_only_masks(value):
+    # a list failed later, in the zero-gene check, with AttributeError
+    with pytest.raises(ValueError) as err:
+        GAConfig(seed=1, candidate_features=value)
+    assert str(err.value) == f"candidate_features must be a FeatureMask or None, got {value!r}"
+
+
 def test_benchmark_defaults():
     cfg = GAConfig(seed=1)
     assert cfg.population_size == 100
@@ -130,20 +142,19 @@ def test_separable_target_reaches_zero_fitness(synth_flood):
     assert out.metrics.f_measure == 1.0
 
 
-def test_compute_fitness_refuses_a_test_set_of_another_column_layout(synth_flood):
-    # the tree reads the test matrix in the training matrix's column layout
+def test_compute_fitness_refuses_sets_without_the_41_feature_columns(synth_flood):
+    # column j of both sets is feature j: a projected training set is refused
+    # here, a projected test set by predict_batch
     train, test = synth_flood
     mask = FeatureMask.from_names(["count", "service", "wrong_fragment"])
-    order = np.random.default_rng(2).permutation(len(test.feature_names))
-    reordered = BinaryLabeledDataset(test.features[:, order], test.targets,
-                                     tuple(test.feature_names[j] for j in order))
-    for other in (reordered, project(test, mask)):
-        with pytest.raises(ValueError, match="^the test set's feature columns differ "
-                                             "from the training set's$"):
-            compute_fitness(mask, train, other)
-    # equal names in another tuple are the same layout
-    same = BinaryLabeledDataset(test.features, test.targets, tuple(list(test.feature_names)))
-    assert compute_fitness(mask, train, same) == compute_fitness(mask, train, test)
+    for empty in (False, True):
+        with pytest.raises(ValueError, match=re.escape(
+                f"the training set must hold the 41 feature columns, got shape ({len(train)}, 3)")):
+            compute_fitness(FeatureMask.from_indices([]) if empty else mask,
+                            project(train, mask), test)
+    with pytest.raises(ValueError, match=re.escape(
+            f"expected a matrix with 41 columns, got shape ({len(test)}, 3)")):
+        compute_fitness(mask, train, project(test, mask))
 
 
 def test_compute_fitness_does_not_import_numpy_ma():
@@ -574,6 +585,25 @@ def test_memo_serves_all_the_subset_oracle_serves(request, target, criterion):
             fits["oracle"] += 1
         assert fits["memo"] <= fits["oracle"]
     assert fits["memo"] < fits["oracle"]
+
+
+@pytest.mark.parametrize("criterion", ["entropy", "gini"])
+@pytest.mark.parametrize("target", ["flood", "burst"])
+@settings(max_examples=5, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_used_features_are_the_split_columns_of_the_mask_tree(request, target, criterion, seed):
+    # a tree's feature j is gene j of a mask: each used set, fitted or served
+    # by the memo, holds exactly the columns the mask's own tree splits on
+    train, test = request.getfixturevalue(f"synth_{target}")
+    masks = [m for m in _mask_sequence(np.random.default_rng(seed), 16) if m.selected_count]
+    memo = FitnessMemo(train, test, criterion)
+    for mask, served in zip(masks, memo.evaluate(masks)):
+        tree = fit(train, criterion, list(mask.indices()))
+        split = sorted(set(tree.feature[tree.feature >= 0].tolist()))
+        for individual in (served, compute_fitness(mask, train, test, criterion)):
+            assert list(individual.used_features.indices()) == split
+            assert not individual.used_features.bitmask & ~mask.bitmask
 
 
 def test_memo_serves_a_mask_fitted_earlier_in_the_same_batch(tiny_sets, monkeypatch):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from gafs import ga, nslkdd, tree as tree_module
 from gafs.ga import compute_fitness
 from gafs.nslkdd import (
-    BinaryLabeledDataset, FeatureMask, mask_columns, project, rank_columns, relabel,
+    N_FEATURES, BinaryLabeledDataset, FeatureMask, project, rank_columns, relabel,
 )
 from gafs.tree import CRITERIA, SplitTable, fit, impurity, predict_batch
 
@@ -47,9 +47,7 @@ def assert_same_arrays(tree, arrays):
 
 
 def binary(X, y):
-    X = np.asarray(X, dtype=float)
-    names = tuple(f"f{i}" for i in range(X.shape[1]))
-    return BinaryLabeledDataset(X, np.asarray(y, bool), names)
+    return BinaryLabeledDataset(np.asarray(X, dtype=float), np.asarray(y, bool))
 
 
 # ------------------------------------------------------------------ impurity
@@ -275,7 +273,7 @@ def test_masked_out_features_cannot_affect_predictions(synth_flood):
     perturbed_features = test.features.copy()
     masked_out = [i for i, g in enumerate(mask.genes) if not g]
     perturbed_features[:, masked_out] = rng.random((len(test), len(masked_out))) * 1e6
-    perturbed = BinaryLabeledDataset(perturbed_features, test.targets, test.feature_names)
+    perturbed = BinaryLabeledDataset(perturbed_features, test.targets)
     assert np.array_equal(
         predict_batch(tree, project(perturbed, mask).features), baseline
     )
@@ -312,10 +310,10 @@ def assert_same_tree(data, criterion, extreme=False, dense_bounds=(None,)):
 @pytest.mark.parametrize("target", ["flood", "burst"])
 def test_fit_matches_pernode_reference_on_synthetic_traffic(request, target, k):
     train, _ = request.getfixturevalue(f"synth_{target}")
-    chosen = np.random.default_rng(k).choice(len(train.feature_names), k, replace=False)
+    chosen = np.random.default_rng(k).choice(N_FEATURES, k, replace=False)
     mask = FeatureMask.from_indices(chosen.tolist())
     projected = project(train, mask)
-    columns = mask_columns(train, mask)
+    columns = list(mask.indices())
     for criterion in CRITERIA:
         tree = assert_same_tree(projected, criterion)
         # the mask's columns read in place, out of the sort of all 41
@@ -556,7 +554,7 @@ def test_unit_growth_matches_pernode_reference_on_few_column_masks(request, targ
         projected = project(train, mask)
         for criterion in CRITERIA:
             tree = assert_same_tree(projected, criterion, dense_bounds=(None, 0, np.inf))
-            in_train = mask_columns(train, mask)
+            in_train = list(mask.indices())
             arrays = in_columns(tree, in_train)
             assert_same_arrays(fit(train, criterion, in_train), arrays)
             with mock.patch.multiple(tree_module, **NO_UNITS):
@@ -711,8 +709,7 @@ def assert_same_through_table(data, criterion, column_sets, extreme=False, min_s
     X = np.asarray(data.features)
     for columns in column_sets:
         got, alone = fit(data, criterion, columns, table), fit(data, criterion, columns)
-        projected = BinaryLabeledDataset(X[:, columns], data.targets,
-                                         tuple(data.feature_names[j] for j in columns))
+        projected = BinaryLabeledDataset(X[:, columns], data.targets)
         with np.errstate(over="ignore") if extreme else contextlib.nullcontext():
             reference = pernode_fit(projected, criterion)
         arrays = in_columns(bfs_arrays(reference.root), columns)
@@ -830,7 +827,7 @@ def test_predict_batch_agrees_with_predict_on_deep_trees(synth_burst):
 
 def test_predict_batch_reads_every_matrix_layout(synth_burst):
     train, test = synth_burst
-    columns = list(range(0, len(train.feature_names), 3))
+    columns = list(range(0, N_FEATURES, 3))
     tree = fit(train, "gini", columns)
     X = test.features
     assert X.flags.f_contiguous and not X.flags.c_contiguous
@@ -960,7 +957,7 @@ def test_worker_threads_share_one_rank_table(synth_encoded, monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(fit, burst, "gini", mask_columns(burst, mask))
+            futures = [pool.submit(fit, burst, "gini", list(mask.indices()))
                        for mask in masks]
             trees = [future.result(timeout=60) for future in futures]
     finally:
@@ -968,7 +965,7 @@ def test_worker_threads_share_one_rank_table(synth_encoded, monkeypatch):
     assert calls == [id(fresh.features)]
     for mask, tree in zip(masks, trees):
         alone = fit(project(burst, mask), "gini")
-        assert_same_arrays(tree, in_columns(alone, mask_columns(burst, mask)))
+        assert_same_arrays(tree, in_columns(alone, mask.indices()))
     assert len(calls) == 1 + len(masks)  # each projection has a rank table of its own
 
 
@@ -1003,7 +1000,7 @@ def test_fits_on_two_threads_keep_their_own_overflow_state():
 def test_table_searches_the_root_once(synth_encoded, monkeypatch):
     train, _, _ = synth_encoded
     flood = relabel(train, {"flood"})
-    columns = mask_columns(flood, FeatureMask.from_names(["count"]))
+    columns = list(FeatureMask.from_names(["count"]).indices())
     counted = []
     real = tree_module._histogram
     monkeypatch.setattr(tree_module, "_histogram", lambda *a: counted.append(1) or real(*a))
@@ -1024,7 +1021,7 @@ def test_table_searches_the_root_once(synth_encoded, monkeypatch):
 
 def test_table_entries_serve_a_refit_at_every_level_with_a_kept_path(synth_burst, monkeypatch):
     train, _ = synth_burst
-    columns = list(range(0, len(train.feature_names), 2))
+    columns = list(range(0, N_FEATURES, 2))
     levels = []  # per level: [whether a node has a kept path, indexed entry reads]
 
     class ReadSpy(np.ndarray):
@@ -1069,8 +1066,7 @@ def test_one_pass_scores_each_level(synth_burst, monkeypatch):
     # a level evaluates the impurity expressions once for its nodes and twice
     # for the candidates of all its columns together, however many columns
     train, _ = synth_burst
-    chosen = np.random.default_rng(20).choice(len(train.feature_names), 20, replace=False)
-    columns = mask_columns(train, FeatureMask.from_indices(chosen.tolist()))
+    columns = sorted(np.random.default_rng(20).choice(N_FEATURES, 20, replace=False).tolist())
     assert sum(np.ptp(train.features[:, j]) > 0 for j in columns) >= 5
     calls = []
     real = tree_module._impurity_arrays
